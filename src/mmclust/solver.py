@@ -3,12 +3,19 @@
 The model scores instance/cluster affinity through a low-rank weight tensor
 over all bias-augmented views and the cluster axis.  Keeping the tensor in CP
 form, the score matrix is the elementwise product of per-view projections
-times the cluster factor, and training alternates three exact subproblem
-solves: a reweighted least-squares update per view factor (an SPD linear
-system applied matrix-free and solved by warm-started conjugate gradient), a
-row-decoupled SPD solve for the cluster factor, and a nearest-orthonormal
-update of the relaxed cluster indicator.  Row-sparsity regularization enters
-through iteratively reweighted diagonal matrices refreshed before each solve.
+times the cluster factor, and training alternates three block updates: a
+reweighted least-squares update per view factor (an SPD linear system applied
+matrix-free and improved by a few warm-started conjugate-gradient steps), an
+exact row-decoupled SPD solve for the cluster factor, and an exact
+nearest-orthonormal update of the relaxed cluster indicator.  Row-sparsity
+regularization enters through iteratively reweighted diagonal matrices
+refreshed before each solve.
+
+The view update is inexact by design (inexact block majorization-minimization,
+Hunter & Lange 2004; Razaviyayn, Hong & Luo 2013): the reweighted system is
+the normal equation of a quadratic majorizer of the objective in that block,
+and CG minimizes that quadratic over the warm start plus a Krylov space, so
+any step budget of at least one keeps the objective non-increasing.
 """
 
 from __future__ import annotations
@@ -178,6 +185,9 @@ class FitConfig:
     outer_tol: float = 1e-6
     cg_tol: float = 1e-8
     cg_max_iters: int = 500
+    # CG steps per view update inside ``fit`` (capped by ``cg_max_iters``);
+    # None solves every view update to ``cg_tol``
+    inner_cg_iters: int | None = 4
     irls_epsilon: float = 1e-12
     seed: int = 0
     init_scale: float = 0.1
@@ -189,6 +199,9 @@ class FitConfig:
             raise ValueError("gamma must be non-negative")
         if self.max_outer_iters < 1 or self.cg_max_iters < 1:
             raise ValueError("iteration limits must be positive")
+        if self.inner_cg_iters is not None and self.inner_cg_iters < 1:
+            # a zero budget freezes the fit: the warm start is returned as is
+            raise ValueError("inner_cg_iters must be at least 1, or None")
         if self.outer_tol <= 0 or self.cg_tol <= 0 or self.irls_epsilon <= 0:
             raise ValueError("tolerances must be positive")
         if self.init_scale <= 0:
@@ -475,17 +488,25 @@ def update_view_weights(
     indicator: ClusterIndicator,
     irls: IRLSState,
     config: FitConfig,
+    max_iters: int | None = None,
 ) -> tuple[np.ndarray, CGStats]:
     """Solve the reweighted least-squares subproblem for one view's factor.
 
     The stationarity condition is an SPD linear system in the stacked factor;
     it is applied matrix-free (``apply_H``) and solved by conjugate gradient,
-    warm-started from the current factor.  Returns the updated factor matrix
-    and the CG diagnostics.
+    warm-started from the current factor.  CG stops at relative residual
+    ``config.cg_tol`` or after ``max_iters`` steps (default
+    ``config.cg_max_iters``).  A smaller ``max_iters`` gives an inexact update
+    that still never raises the subproblem's quadratic above its value at the
+    warm start.  Returns the updated factor matrix and the CG diagnostics.
     """
     _check_shapes(z, weights)
     if not 0 <= view < z.n_views:
         raise ValueError(f"view index {view} out of range")
+    if max_iters is None:
+        max_iters = config.cg_max_iters
+    elif max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     A = z.z_views[view]
     B = compute_embedding(z, weights, exclude=view)
     cf = weights.cluster_factor
@@ -503,7 +524,7 @@ def update_view_weights(
         return apply_H(v, A, B, C, d, config.gamma)
 
     x, stats = _conjugate_gradient(
-        matvec, E.ravel(order="F"), x0, config.cg_tol, config.cg_max_iters
+        matvec, E.ravel(order="F"), x0, config.cg_tol, max_iters
     )
     return x.reshape((A.shape[0], weights.rank), order="F"), stats
 
@@ -670,9 +691,12 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
     Pipeline: normalize each view, append the constant feature, draw the
     initial state from ``config.seed``, then per outer iteration update every
     view factor (reweighting diagonal refreshed immediately before each
-    solve), the cluster factor, and the indicator, in that order.  The
-    objective is recorded after every outer iteration; the loop stops when its
-    relative change drops below ``config.outer_tol`` or after
+    solve), the cluster factor, and the indicator, in that order.  Each view
+    update takes at most ``min(config.cg_max_iters, config.inner_cg_iters)``
+    warm-started CG steps, or solves to ``config.cg_tol`` when
+    ``inner_cg_iters`` is None; either way the objective is non-increasing.
+    The objective is recorded after every outer iteration; the loop stops when
+    its relative change drops below ``config.outer_tol`` or after
     ``config.max_outer_iters`` iterations.  Non-convergence is reported via
     the ``converged`` flag, not raised.
 
@@ -696,6 +720,9 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
     weights, indicator = init_model(z, config, n_clusters)
     factors = [np.array(f) for f in weights.view_factors]
     cluster = np.array(weights.cluster_factor)
+    cg_budget = config.cg_max_iters
+    if config.inner_cg_iters is not None:
+        cg_budget = min(cg_budget, config.inner_cg_iters)
 
     trace: list[IterationRecord] = []
     converged = False
@@ -707,7 +734,7 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
             current = CPWeights(tuple(factors), cluster)
             irls = IRLSState.from_weights(current, config.irls_epsilon)
             factors[v], stats = update_view_weights(
-                v, z, current, indicator, irls, config
+                v, z, current, indicator, irls, config, max_iters=cg_budget
             )
             cg_stats.append(stats)
         current = CPWeights(tuple(factors), cluster)
@@ -728,7 +755,10 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
             )
         )
         logger.debug(
-            "iteration %d: objective=%.6e fit=%.6e reg=%.6e", it, total, fit_term, reg_term
+            "iteration %d: objective=%.6e fit=%.6e reg=%.6e cg_steps=%d "
+            "cg_worst_residual=%.3e",
+            it, total, fit_term, reg_term,
+            sum(s.iterations for s in cg_stats), max(s.residual for s in cg_stats),
         )
         if prev_total is not None:
             if abs(prev_total - total) / max(prev_total, 1e-30) < config.outer_tol:

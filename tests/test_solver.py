@@ -1,5 +1,6 @@
 """Solver operations: each subproblem against its independent reference path."""
 
+import logging
 import math
 
 import numpy as np
@@ -277,6 +278,7 @@ class TestFitConfigValidation:
             {"gamma": -0.1},
             {"max_outer_iters": 0},
             {"cg_max_iters": 0},
+            {"inner_cg_iters": 0},
             {"outer_tol": 0.0},
             {"cg_tol": -1e-8},
             {"irls_epsilon": 0.0},
@@ -374,6 +376,14 @@ class TestUpdateViewWeights:
         H = dense_H(A, B, np.eye(k), irls.diags[0], cfg.gamma)
         ref = np.linalg.solve(H, E.ravel(order="F")).reshape(new_w.shape, order="F")
         np.testing.assert_allclose(new_w, ref, rtol=1e-6, atol=1e-12)
+
+    def test_step_budget(self):
+        z, w, f, irls, cfg = self._setup(4)
+        for budget in (1, 3):
+            _, stats = update_view_weights(0, z, w, f, irls, cfg, max_iters=budget)
+            assert stats.iterations == budget and not stats.converged
+        with pytest.raises(ValueError, match="max_iters"):
+            update_view_weights(0, z, w, f, irls, cfg, max_iters=0)
 
     def test_warm_start_beats_zero_start_at_fixed_budget(self):
         # after one outer pass the factor sits near the new system's solution,
@@ -587,6 +597,27 @@ class TestFit:
             objs = report.objectives
             rel_increase = np.diff(objs) / np.maximum(objs[:-1], 1e-30)
             assert np.all(rel_increase <= 1e-9)
+
+    def test_exact_inner_solves_meet_contract(self):
+        cfg = FitConfig(rank=3, max_outer_iters=5, inner_cg_iters=None)
+        report = fit(self._dataset(6), 3, cfg)
+        for rec in report.trace:
+            for stats in rec.cg:
+                assert stats.converged or stats.iterations == cfg.cg_max_iters
+
+    def test_inner_budget_capped_by_cg_max_iters(self):
+        cfg = FitConfig(rank=3, max_outer_iters=4, cg_max_iters=2, inner_cg_iters=5)
+        report = fit(self._dataset(7), 3, cfg)
+        assert max(s.iterations for rec in report.trace for s in rec.cg) == 2
+
+    def test_debug_log_reports_cg_work(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="mmclust.solver"):
+            report = fit(self._dataset(8), 3, FitConfig(rank=3, max_outer_iters=2))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
+        assert len(lines) == report.n_iterations
+        for line, rec in zip(lines, report.trace):
+            assert f"cg_steps={sum(s.iterations for s in rec.cg)} " in line
+            assert f"cg_worst_residual={max(s.residual for s in rec.cg):.3e}" in line
 
     def test_trace_bytes_identical_across_runs(self):
         ds = self._dataset(3)
