@@ -33,15 +33,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected a comma-separated integer list, got '{text}'") from None
 
 
-def _parse_optional_int(text: str) -> int | None:
-    if text.strip().lower() == "none":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'none', got '{text}'") from None
-
-
 def _write_matrix(path: Path, matrix: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in matrix:
@@ -62,7 +53,6 @@ def _fit_config_from(args: argparse.Namespace, rank: int | None = None) -> FitCo
         outer_tol=args.tol,
         cg_tol=args.cg_tol,
         cg_max_iters=args.cg_max_iters,
-        inner_cg_iters=args.inner_cg_iters,
         irls_epsilon=args.irls_epsilon,
         seed=args.seed,
         init_scale=args.init_scale,
@@ -430,11 +420,6 @@ def _add_fit_options(p: argparse.ArgumentParser, with_rank: bool = True) -> None
     p.add_argument("--max-iters", type=int, default=100, help="outer iteration cap")
     p.add_argument("--cg-tol", type=float, default=1e-8, help="CG relative residual tolerance")
     p.add_argument("--cg-max-iters", type=int, default=500, help="CG iteration cap")
-    p.add_argument(
-        "--inner-cg-iters", type=_parse_optional_int, default=4,
-        help="CG steps per view update in a fit (capped by --cg-max-iters); "
-        "'none' solves each update to --cg-tol",
-    )
     p.add_argument("--irls-epsilon", type=float, default=1e-12, help="row-norm guard in the reweighting")
     p.add_argument("--init-scale", type=float, default=0.1, help="uniform factor initialization scale")
     p.add_argument("--out", type=str, default=None, help="write the JSON report here")

@@ -174,39 +174,6 @@ class TestFitAndEval:
         a, b = (strip_timing(json.loads(p.read_text())) for p in paths)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_inner_cg_iters_none_solves_exactly(self, small_dataset, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        code, _, err = run(
-            capsys,
-            "fit", str(small_dataset / "manifest.json"),
-            "--k", "3", "--rank", "4", "--max-iters", "3",
-            "--inner-cg-iters", "none", "--out", str(report_path),
-        )
-        assert code == 0, err
-        report = json.loads(report_path.read_text())
-        assert report["config"]["inner_cg_iters"] is None
-        for rec in report["trace"]:
-            for s in rec["cg"]:
-                assert s["converged"] or s["iterations"] == 500
-
-    def test_inner_cg_iters_budget_and_rejections(self, small_dataset, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        code, _, err = run(
-            capsys,
-            "fit", str(small_dataset / "manifest.json"),
-            "--k", "3", "--rank", "4", "--max-iters", "3",
-            "--inner-cg-iters", "2", "--out", str(report_path),
-        )
-        assert code == 0, err
-        report = json.loads(report_path.read_text())
-        assert report["config"]["inner_cg_iters"] == 2
-        assert all(s["iterations"] <= 2 for rec in report["trace"] for s in rec["cg"])
-        manifest = str(small_dataset / "manifest.json")
-        code, _, err = run(capsys, "fit", manifest, "--k", "3", "--inner-cg-iters", "0")
-        assert code == 1 and "inner_cg_iters" in err
-        code, _, _ = run(capsys, "fit", manifest, "--k", "3", "--inner-cg-iters", "few")
-        assert code == 2
-
     def test_k_larger_than_n_is_diagnosed(self, small_dataset, capsys):
         code, _, err = run(
             capsys, "fit", str(small_dataset / "manifest.json"), "--k", "100"

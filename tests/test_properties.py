@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmclust.data import MultiViewDataset
-from mmclust.solver import FitConfig, fit
+from mmclust.solver import VIEW_CG_STEPS, FitConfig, fit
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -18,20 +18,29 @@ st = hypothesis.strategies
     k=st.integers(1, 4),
     rank=st.integers(1, 4),
     gamma=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
-    budget=st.integers(1, 12),
+    cg_max_iters=st.integers(1, 12),
     max_outer_iters=st.integers(1, 8),
 )
 def test_budgeted_fit_descends_within_budget(
-    data_seed, dims, n, k, rank, gamma, budget, max_outer_iters
+    data_seed, dims, n, k, rank, gamma, cg_max_iters, max_outer_iters
 ):
     rng = np.random.default_rng(data_seed)
     dataset = MultiViewDataset(tuple(rng.standard_normal((d, n)) for d in dims))
     config = FitConfig(
         rank=rank, gamma=gamma, max_outer_iters=max_outer_iters,
-        inner_cg_iters=budget, seed=data_seed,
+        cg_max_iters=cg_max_iters, seed=data_seed,
     )
     report = fit(dataset, min(k, n), config)
     objs = report.objectives
-    rel_increase = np.diff(objs) / np.maximum(objs[:-1], 1e-30)
-    assert np.all(rel_increase <= 1e-9)
-    assert all(s.iterations <= budget for rec in report.trace for s in rec.cg)
+    # criterion 4's relative slack, plus roundoff at the scale of the fit term
+    # (the indicator's squared norm K): with gamma=0 and as many parameters as
+    # instances the fit reaches roundoff, where the objective moves by noise
+    # under exact view solves as well
+    assert np.all(np.diff(objs) <= 1e-9 * objs[:-1] + 1e-12 * report.n_clusters)
+    # view updates keep the step budget, except in an iteration that follows
+    # a stall, which solves them in full to confirm the stop
+    stalled = np.abs(np.diff(objs)) / np.maximum(objs[:-1], 1e-30) < config.outer_tol
+    for i, rec in enumerate(report.trace):
+        full = i >= 2 and stalled[i - 2]
+        limit = cg_max_iters if full else min(cg_max_iters, VIEW_CG_STEPS)
+        assert all(s.iterations <= limit for s in rec.cg)

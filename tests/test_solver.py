@@ -13,6 +13,7 @@ from mmclust.solver import (
     ClusterIndicator,
     FitConfig,
     IRLSState,
+    VIEW_CG_STEPS,
     SolverError,
     _conjugate_gradient,
     apply_H,
@@ -278,7 +279,6 @@ class TestFitConfigValidation:
             {"gamma": -0.1},
             {"max_outer_iters": 0},
             {"cg_max_iters": 0},
-            {"inner_cg_iters": 0},
             {"outer_tol": 0.0},
             {"cg_tol": -1e-8},
             {"irls_epsilon": 0.0},
@@ -598,17 +598,21 @@ class TestFit:
             rel_increase = np.diff(objs) / np.maximum(objs[:-1], 1e-30)
             assert np.all(rel_increase <= 1e-9)
 
-    def test_exact_inner_solves_meet_contract(self):
-        cfg = FitConfig(rank=3, max_outer_iters=5, inner_cg_iters=None)
-        report = fit(self._dataset(6), 3, cfg)
-        for rec in report.trace:
-            for stats in rec.cg:
-                assert stats.converged or stats.iterations == cfg.cg_max_iters
-
     def test_inner_budget_capped_by_cg_max_iters(self):
-        cfg = FitConfig(rank=3, max_outer_iters=4, cg_max_iters=2, inner_cg_iters=5)
+        cfg = FitConfig(rank=3, max_outer_iters=4, cg_max_iters=2)
         report = fit(self._dataset(7), 3, cfg)
         assert max(s.iterations for rec in report.trace for s in rec.cg) == 2
+
+    def test_stop_is_confirmed_by_full_view_solves(self):
+        # a stall after budgeted view updates triggers one iteration of full
+        # solves; only a stall in such an iteration ends the fit as converged
+        for seed in range(4):
+            cfg = FitConfig(rank=3, outer_tol=1e-4, max_outer_iters=50, seed=seed)
+            report = fit(self._dataset(seed), 3, cfg)
+            assert report.converged
+            last = report.trace[-1].cg
+            assert all(s.converged for s in last)
+            assert max(s.iterations for s in last) > VIEW_CG_STEPS
 
     def test_debug_log_reports_cg_work(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="mmclust.solver"):
