@@ -22,7 +22,6 @@ from .solver import (
     CPWeights,
     FitConfig,
     FitReport,
-    IRLSState,
     IterationRecord,
     SolverError,
     apply_H,
@@ -51,7 +50,6 @@ __all__ = [
     "DataError",
     "FitConfig",
     "FitReport",
-    "IRLSState",
     "IterationRecord",
     "MultiViewDataset",
     "Partition",

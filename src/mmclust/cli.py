@@ -272,9 +272,8 @@ def run_oracle_checks(seed: int = 0):
     config = FitConfig(rank=3, gamma=0.05)
     for _ in range(10):
         z, weights, indicator = _random_model(rng, n=8, dims=(3, 4), k=3, rank=3)
-        irls = solver.IRLSState.from_weights(weights, config.irls_epsilon)
         view = int(rng.integers(0, 2))
-        _, stats = solver.update_view_weights(view, z, weights, indicator, irls, config)
+        _, stats = solver.update_view_weights(view, z, weights, indicator, config)
         ok = ok and (stats.converged or stats.iterations >= config.cg_max_iters)
         worst = max(worst, stats.residual)
     record("view-solve-residual", ok, f"max rel residual {worst:.3e} over 10 draws")
@@ -285,13 +284,13 @@ def run_oracle_checks(seed: int = 0):
     ok, worst = True, -np.inf
     for _ in range(4):
         z, weights, indicator = _random_model(rng, n=8, dims=(3, 4), k=3, rank=3)
-        irls = solver.IRLSState.from_weights(weights, config.irls_epsilon)
         view = int(rng.integers(0, 2))
         A = z.z_views[view]
         other = 1 - view
         B = z.z_views[other].T @ weights.view_factors[other]
         cf = weights.cluster_factor
-        H = oracle.dense_H(A, B, cf.T @ cf, irls.diags[view], config.gamma)
+        d = solver.irls_diag(weights.view_factors[view], config.irls_epsilon)
+        H = oracle.dense_H(A, B, cf.T @ cf, d, config.gamma)
         b = (A @ (B * (indicator.matrix @ cf))).ravel(order="F")
 
         def quadratic(x):
@@ -300,7 +299,7 @@ def run_oracle_checks(seed: int = 0):
         start = quadratic(weights.view_factors[view].ravel(order="F"))
         for budget in (1, 2, 5):
             new, stats = solver.update_view_weights(
-                view, z, weights, indicator, irls, config, max_iters=budget
+                view, z, weights, indicator, config, max_iters=budget
             )
             change = (quadratic(new.ravel(order="F")) - start) / max(abs(start), 1.0)
             ok = ok and change < 0.0 and stats.iterations <= budget
@@ -315,11 +314,11 @@ def run_oracle_checks(seed: int = 0):
     worst = 0.0
     for _ in range(10):
         z, weights, indicator = _random_model(rng, n=8, dims=(3, 4), k=3, rank=3)
-        irls = solver.IRLSState.from_weights(weights, 1e-12)
-        new_cf = solver.update_cluster_weights(z, weights, indicator, irls, 0.05)
+        new_cf = solver.update_cluster_weights(z, weights, indicator, config)
         emb = solver.compute_embedding(z, weights)
         gram = emb.T @ emb
-        lhs = new_cf @ gram + 0.05 * irls.diags[-1][:, None] * new_cf
+        p = solver.irls_diag(weights.cluster_factor, config.irls_epsilon)
+        lhs = new_cf @ gram + config.gamma * p[:, None] * new_cf
         target = indicator.matrix.T @ emb
         worst = max(
             worst,

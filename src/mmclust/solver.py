@@ -8,8 +8,12 @@ reweighted least-squares update per view factor (an SPD linear system applied
 matrix-free and improved by a few warm-started conjugate-gradient steps), an
 exact row-decoupled SPD solve for the cluster factor, and an exact
 nearest-orthonormal update of the relaxed cluster indicator.  Row-sparsity
-regularization enters through iteratively reweighted diagonal matrices
-refreshed before each solve.
+regularization enters through iteratively reweighted diagonal matrices; each
+factor update computes its diagonal from the factor it updates, right before
+its solve, so every block minimizes a majorizer anchored at its current value.
+One outer-loop driver runs these updates for ``fit`` and also runs the
+concatenated-view baseline in ``synth``, so both share the trace, stop rule
+and label extraction.
 
 The view update is inexact by design (inexact block majorization-minimization,
 Hunter & Lange 2004; Razaviyayn, Hong & Luo 2013): the reweighted system is
@@ -38,7 +42,6 @@ __all__ = [
     "SolverError",
     "CPWeights",
     "ClusterIndicator",
-    "IRLSState",
     "FitConfig",
     "CGStats",
     "IterationRecord",
@@ -152,33 +155,6 @@ class ClusterIndicator:
     @property
     def n_clusters(self) -> int:
         return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class IRLSState:
-    """Diagonals of the row-reweighting matrices, one per factor.
-
-    ``diags[v]`` reweights view factor ``v``; ``diags[-1]`` reweights the
-    cluster factor.  Entry ``i`` is ``1 / (2 * max(||row i||_2, epsilon))`` for
-    the factors the state was computed from.
-    """
-
-    diags: tuple[np.ndarray, ...]
-    epsilon: float
-
-    def __post_init__(self):
-        diags = tuple(np.asarray(d, dtype=np.float64).ravel() for d in self.diags)
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        for i, d in enumerate(diags):
-            if d.size == 0 or not np.all(np.isfinite(d)) or np.any(d <= 0):
-                raise ValueError(f"reweighting diagonal {i} must be positive and finite")
-        object.__setattr__(self, "diags", diags)
-
-    @classmethod
-    def from_weights(cls, weights: CPWeights, epsilon: float) -> "IRLSState":
-        factors = (*weights.view_factors, weights.cluster_factor)
-        return cls(tuple(irls_diag(f, epsilon) for f in factors), epsilon)
 
 
 @dataclass(frozen=True)
@@ -437,7 +413,9 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
 
     Stops when the true residual satisfies ||b - H x|| <= tol * ||b|| or after
     max_iters matvec steps.  Recurrence-based convergence is verified against
-    the explicitly recomputed residual before it is trusted.
+    the explicitly recomputed residual before it is trusted; the reported
+    residual reuses that true residual when ``r`` still holds it, and is
+    recomputed otherwise.
     """
     b = np.asarray(b, dtype=np.float64)
     b_norm = float(np.linalg.norm(b))
@@ -451,6 +429,7 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
     rs = float(r @ r)
     p = r.copy()
     iterations = 0
+    exact = True  # r is the true residual b - H x, not the recurrence
     while np.sqrt(rs) > target and iterations < max_iters:
         hp = matvec(p)
         php = float(p @ hp)
@@ -461,6 +440,7 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
         alpha = rs / php
         x += alpha * p
         r -= alpha * hp
+        exact = False
         iterations += 1
         rs_new = float(r @ r)
         if not np.isfinite(rs_new):
@@ -468,6 +448,7 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
         if np.sqrt(rs_new) <= target:
             # confirm with the true residual; restart from it if drift remains
             r = b - matvec(x)
+            exact = True
             rs = float(r @ r)
             if np.sqrt(rs) <= target:
                 break
@@ -475,7 +456,7 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
             continue
         p = r + (rs_new / rs) * p
         rs = rs_new
-    residual = float(np.linalg.norm(b - matvec(x))) / b_norm
+    residual = float(np.linalg.norm(r if exact else b - matvec(x))) / b_norm
     if not np.isfinite(residual):
         raise SolverError("conjugate gradient diverged: non-finite iterate")
     return x, CGStats(iterations, residual, residual <= tol)
@@ -486,15 +467,17 @@ def update_view_weights(
     z: AugmentedViews,
     weights: CPWeights,
     indicator: ClusterIndicator,
-    irls: IRLSState,
     config: FitConfig,
     max_iters: int | None = None,
 ) -> tuple[np.ndarray, CGStats]:
     """Solve the reweighted least-squares subproblem for one view's factor.
 
-    The stationarity condition is an SPD linear system in the stacked factor;
-    it is applied matrix-free (``apply_H``) and solved by conjugate gradient,
-    warm-started from the current factor.  CG stops at relative residual
+    The reweighting diagonal comes from the factor being updated
+    (``irls_diag`` with ``config.irls_epsilon``), so the system is the
+    majorizer anchored at the current factor.  Its stationarity condition is
+    an SPD linear system in the stacked factor; it is applied matrix-free
+    (``apply_H``) and solved by conjugate gradient, warm-started from the
+    current factor.  CG stops at relative residual
     ``config.cg_tol`` or after ``max_iters`` steps (default
     ``config.cg_max_iters``).  A smaller ``max_iters`` gives an inexact update
     that still never raises the subproblem's quadratic above its value at the
@@ -511,12 +494,7 @@ def update_view_weights(
     B = compute_embedding(z, weights, exclude=view)
     cf = weights.cluster_factor
     C = cf.T @ cf
-    d = irls.diags[view]
-    if d.size != A.shape[0]:
-        raise ValueError(
-            f"reweighting diagonal for view {view} has size {d.size}, "
-            f"expected {A.shape[0]}"
-        )
+    d = irls_diag(weights.view_factors[view], config.irls_epsilon)
     E = A @ (B * (indicator.matrix @ cf))
     x0 = weights.view_factors[view].ravel(order="F")
 
@@ -533,13 +511,14 @@ def update_cluster_weights(
     z: AugmentedViews,
     weights: CPWeights,
     indicator: ClusterIndicator,
-    irls: IRLSState,
-    gamma: float,
+    config: FitConfig,
 ) -> np.ndarray:
     """Exactly solve the cluster-factor stationarity equation.
 
     The equation ``W @ G + gamma * P @ W = T`` (G the embedding Gram matrix,
-    P the diagonal reweighting, T the indicator/embedding cross term) splits
+    P the diagonal reweighting computed from the current cluster factor with
+    ``config.irls_epsilon``, T the indicator/embedding cross term,
+    ``gamma = config.gamma``) splits
     into K independent R x R SPD systems because P is diagonal; row k solves
     ``(G + gamma * p_k I) w = t_k``.  A singular row system (possible only at
     gamma = 0 with a rank-deficient embedding) gets a diagonal jitter and a
@@ -549,14 +528,8 @@ def update_cluster_weights(
     emb = compute_embedding(z, weights)
     gram = emb.T @ emb
     target = indicator.matrix.T @ emb
-    p = irls.diags[-1]
-    if p.size != weights.n_clusters:
-        raise ValueError(
-            f"cluster reweighting diagonal has size {p.size}, "
-            f"expected {weights.n_clusters}"
-        )
     r = weights.rank
-    shifts = gamma * p
+    shifts = config.gamma * irls_diag(weights.cluster_factor, config.irls_epsilon)
     systems = gram[None, :, :] + shifts[:, None, None] * np.eye(r)[None, :, :]
     bound = CLUSTER_SOLVE_TOL * (1.0 + float(np.linalg.norm(target)))
 
@@ -685,14 +658,78 @@ def extract_labels(indicator: ClusterIndicator, seed: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _alternate(step, indicator, n_clusters, config, model, t_start) -> FitReport:
+    """Outer loop shared by ``fit`` and the concatenated-view baseline.
+
+    ``step(indicator, full_solves)`` runs one outer iteration of block updates
+    and returns ``(indicator, weights, (total, fit_term, reg_term), cg_stats)``.
+    The loop records the objective after every iteration and stops when its
+    relative change drops below ``config.outer_tol`` in an iteration whose
+    view solves all ran to ``config.cg_tol`` or ``config.cg_max_iters`` steps
+    (an empty ``cg_stats`` passes), or after ``config.max_outer_iters``
+    iterations.  A stall after budgeted solves sets ``full_solves`` for the
+    next iteration, which confirms or refutes the stop.  Labels come from
+    K-means on the final indicator.
+    """
+    trace: list[IterationRecord] = []
+    converged = False
+    full_solves = False
+    prev_total: float | None = None
+    for it in range(1, config.max_outer_iters + 1):
+        t_iter = time.perf_counter()
+        indicator, weights, (total, fit_term, reg_term), cg_stats = step(
+            indicator, full_solves
+        )
+        trace.append(
+            IterationRecord(
+                iteration=it,
+                objective=total,
+                fit_term=fit_term,
+                reg_term=reg_term,
+                cg=cg_stats,
+                elapsed_sec=time.perf_counter() - t_iter,
+            )
+        )
+        logger.debug(
+            "iteration %d: objective=%.6e fit=%.6e reg=%.6e cg_steps=%d "
+            "cg_worst_residual=%.3e",
+            it, total, fit_term, reg_term, sum(s.iterations for s in cg_stats),
+            max((s.residual for s in cg_stats), default=0.0),
+        )
+        if prev_total is not None:
+            stalled = abs(prev_total - total) / max(prev_total, 1e-30) < config.outer_tol
+            # a small change after budget-truncated view updates may only mean
+            # that a few CG steps made little progress, so the stop waits for
+            # an iteration whose view solves all ran to cg_tol or cg_max_iters
+            if stalled and all(
+                s.converged or s.iterations == config.cg_max_iters for s in cg_stats
+            ):
+                converged = True
+                break
+            full_solves = stalled
+        prev_total = total
+
+    return FitReport(
+        config=config,
+        n_clusters=n_clusters,
+        trace=tuple(trace),
+        weights=weights,
+        indicator=indicator,
+        labels=extract_labels(indicator, seed=config.seed),
+        converged=converged,
+        total_time_sec=time.perf_counter() - t_start,
+        model=model,
+    )
+
+
 def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitReport:
     """Run the full alternating-minimization loop on a raw dataset.
 
     Pipeline: normalize each view, append the constant feature, draw the
     initial state from ``config.seed``, then per outer iteration update every
-    view factor (reweighting diagonal refreshed immediately before each
-    solve), the cluster factor, and the indicator, in that order.  Each view
-    update takes at most ``min(config.cg_max_iters, VIEW_CG_STEPS)``
+    view factor, the cluster factor, and the indicator, in that order; each
+    factor update derives its reweighting diagonal from the factor itself.
+    Each view update takes at most ``min(config.cg_max_iters, VIEW_CG_STEPS)``
     warm-started CG steps, which keeps the objective non-increasing.
     The objective is recorded after every outer iteration; the loop stops when
     its relative change drops below ``config.outer_tol`` in an iteration whose
@@ -720,70 +757,25 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
     t_start = time.perf_counter()
     z = augment(normalize_views(dataset))
     weights, indicator = init_model(z, config, n_clusters)
-    factors = [np.array(f) for f in weights.view_factors]
-    cluster = np.array(weights.cluster_factor)
     cg_budget = min(config.cg_max_iters, VIEW_CG_STEPS)
 
-    trace: list[IterationRecord] = []
-    converged = False
-    full_solves = False
-    prev_total: float | None = None
-    for it in range(1, config.max_outer_iters + 1):
-        t_iter = time.perf_counter()
+    def step(indicator, full_solves):
+        nonlocal weights
         budget = config.cg_max_iters if full_solves else cg_budget
         cg_stats = []
         for v in range(z.n_views):
-            current = CPWeights(tuple(factors), cluster)
-            irls = IRLSState.from_weights(current, config.irls_epsilon)
-            factors[v], stats = update_view_weights(
-                v, z, current, indicator, irls, config, max_iters=budget
+            factor, stats = update_view_weights(
+                v, z, weights, indicator, config, max_iters=budget
+            )
+            factors = weights.view_factors
+            weights = CPWeights(
+                (*factors[:v], factor, *factors[v + 1:]), weights.cluster_factor
             )
             cg_stats.append(stats)
-        current = CPWeights(tuple(factors), cluster)
-        irls = IRLSState.from_weights(current, config.irls_epsilon)
-        cluster = update_cluster_weights(z, current, indicator, irls, config.gamma)
-        current = CPWeights(tuple(factors), cluster)
-        indicator = update_indicator(z, current)
+        cluster = update_cluster_weights(z, weights, indicator, config)
+        weights = CPWeights(weights.view_factors, cluster)
+        indicator = update_indicator(z, weights)
+        terms = objective(z, weights, indicator, config.gamma)
+        return indicator, weights, terms, tuple(cg_stats)
 
-        total, fit_term, reg_term = objective(z, current, indicator, config.gamma)
-        trace.append(
-            IterationRecord(
-                iteration=it,
-                objective=total,
-                fit_term=fit_term,
-                reg_term=reg_term,
-                cg=tuple(cg_stats),
-                elapsed_sec=time.perf_counter() - t_iter,
-            )
-        )
-        logger.debug(
-            "iteration %d: objective=%.6e fit=%.6e reg=%.6e cg_steps=%d "
-            "cg_worst_residual=%.3e",
-            it, total, fit_term, reg_term,
-            sum(s.iterations for s in cg_stats), max(s.residual for s in cg_stats),
-        )
-        if prev_total is not None:
-            stalled = abs(prev_total - total) / max(prev_total, 1e-30) < config.outer_tol
-            # a small change after budget-truncated view updates may only mean
-            # that a few CG steps made little progress, so the stop waits for
-            # an iteration whose view solves all ran to cg_tol or cg_max_iters
-            if stalled and all(
-                s.converged or s.iterations == config.cg_max_iters for s in cg_stats
-            ):
-                converged = True
-                break
-            full_solves = stalled
-        prev_total = total
-
-    final_weights = CPWeights(tuple(factors), cluster)
-    labels = extract_labels(indicator, seed=config.seed)
-    return FitReport(
-        config=config,
-        n_clusters=n_clusters,
-        trace=tuple(trace),
-        weights=final_weights,
-        indicator=indicator,
-        labels=labels,
-        converged=converged,
-        total_time_sec=time.perf_counter() - t_start,
-    )
+    return _alternate(step, indicator, n_clusters, config, "cp_multiview", t_start)

@@ -7,7 +7,7 @@ from each of two views, invisible to any per-view or concatenated linear model.
 
 The baseline fits the regression-clustering model on concatenated views (bias
 absorbed), alternating a ridge least-squares weight solve with the
-nearest-orthonormal indicator update.
+nearest-orthonormal indicator update inside the fit's shared outer loop.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .solver import (
     CPWeights,
     FitConfig,
     FitReport,
-    IterationRecord,
-    extract_labels,
+    _alternate,
     nearest_orthonormal,
 )
 
@@ -159,14 +158,14 @@ def baseline_regression_cluster(
     """Regression clustering on concatenated views: no cross-view interactions.
 
     Alternates the ridge least-squares solve of the weight matrix against the
-    current indicator with the nearest-orthonormal indicator update, recording
-    the objective after each outer iteration.  ``config.gamma`` is the ridge
-    weight: without it any orthonormal indicator inside the design column
-    space is interpolated exactly at the first iteration and the alternation
-    carries no clustering pressure, whereas the ridge filter concentrates the
-    indicator on the leading data directions.  Shares the fit's convergence
-    rule, seeding, and label extraction so the two models are directly
-    comparable.
+    current indicator with the nearest-orthonormal indicator update.
+    ``config.gamma`` is the ridge weight: without it any orthonormal indicator
+    inside the design column space is interpolated exactly at the first
+    iteration and the alternation carries no clustering pressure, whereas the
+    ridge filter concentrates the indicator on the leading data directions.
+    The iterations run in the fit's own outer loop (``solver._alternate``), so
+    the trace, convergence rule, seeding and label extraction are shared, not
+    copied, and the two models are directly comparable.
     """
     t_start = time.perf_counter()
     normalized = normalize_views(dataset)
@@ -175,56 +174,25 @@ def baseline_regression_cluster(
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     stacked = np.vstack([*normalized.views, np.ones((1, n))])
     design = stacked.T
-    gram = stacked @ stacked.T
-
-    rng = np.random.default_rng(config.seed)
-    indicator_matrix, _ = np.linalg.qr(rng.standard_normal((n, n_clusters)))
-
-    trace: list[IterationRecord] = []
-    converged = False
-    prev_obj: float | None = None
-    for it in range(1, config.max_outer_iters + 1):
-        t_iter = time.perf_counter()
-        if config.gamma > 0:
-            w = np.linalg.solve(
-                gram + config.gamma * np.eye(gram.shape[0]), stacked @ indicator_matrix
-            )
-        else:
-            w, *_ = np.linalg.lstsq(design, indicator_matrix, rcond=None)
-        scores = design @ w
-        indicator_matrix = nearest_orthonormal(scores)
-        fit_term = float(np.sum((scores - indicator_matrix) ** 2))
-        reg_term = config.gamma * float(np.sum(w * w))
-        obj = fit_term + reg_term
-        trace.append(
-            IterationRecord(
-                iteration=it,
-                objective=obj,
-                fit_term=fit_term,
-                reg_term=reg_term,
-                cg=(),
-                elapsed_sec=time.perf_counter() - t_iter,
-            )
-        )
-        if prev_obj is not None:
-            if abs(prev_obj - obj) / max(prev_obj, 1e-30) < config.outer_tol:
-                converged = True
-                break
-        prev_obj = obj
-
-    indicator = ClusterIndicator(indicator_matrix)
-    labels = extract_labels(indicator, seed=config.seed)
+    ridge = stacked @ stacked.T + config.gamma * np.eye(stacked.shape[0])
     # a single concatenated view with an identity cluster factor reproduces
     # the linear scores exactly, so the report wraps the model as rank-K
-    weights = CPWeights((w,), np.eye(n_clusters))
-    return FitReport(
-        config=config,
-        n_clusters=n_clusters,
-        trace=tuple(trace),
-        weights=weights,
-        indicator=indicator,
-        labels=labels,
-        converged=converged,
-        total_time_sec=time.perf_counter() - t_start,
-        model="concat_regression",
+    identity = np.eye(n_clusters)
+
+    def step(indicator, full_solves):
+        if config.gamma > 0:
+            w = np.linalg.solve(ridge, stacked @ indicator.matrix)
+        else:
+            w, *_ = np.linalg.lstsq(design, indicator.matrix, rcond=None)
+        scores = design @ w
+        indicator = ClusterIndicator(nearest_orthonormal(scores))
+        fit_term = float(np.sum((scores - indicator.matrix) ** 2))
+        reg_term = config.gamma * float(np.sum(w * w))
+        terms = (fit_term + reg_term, fit_term, reg_term)
+        return indicator, CPWeights((w,), identity), terms, ()
+
+    rng = np.random.default_rng(config.seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n_clusters)))
+    return _alternate(
+        step, ClusterIndicator(q), n_clusters, config, "concat_regression", t_start
     )

@@ -12,7 +12,6 @@ from mmclust.solver import (
     CPWeights,
     ClusterIndicator,
     FitConfig,
-    IRLSState,
     VIEW_CG_STEPS,
     SolverError,
     _conjugate_gradient,
@@ -248,24 +247,9 @@ class TestIrlsDiag:
             expected = 1.0 / (2.0 * max(np.linalg.norm(row), 1e-9))
             assert diag[i] == pytest.approx(expected, rel=1e-14)
 
-    def test_state_snapshot_matches_factors(self):
-        rng = np.random.default_rng(17)
-        _, w, _ = random_model(rng, (2, 2), n=4, k=3, rank=2)
-        state = IRLSState.from_weights(w, 1e-12)
-        assert len(state.diags) == 3
-        np.testing.assert_allclose(
-            state.diags[-1], irls_diag(w.cluster_factor, 1e-12), atol=0
-        )
-
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             irls_diag(np.ones((2, 2)), 0.0)
-        with pytest.raises(ValueError, match="epsilon"):
-            IRLSState((np.ones(3),), epsilon=-1.0)
-
-    def test_nonpositive_diagonal_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            IRLSState((np.array([1.0, 0.0]),), epsilon=1e-12)
 
 
 class TestFitConfigValidation:
@@ -324,37 +308,77 @@ class TestApplyH:
             apply_H(np.zeros(5), np.eye(3), np.ones((3, 2)), np.eye(2), np.zeros(3), 1.0)
 
 
+class TestConjugateGradient:
+    def _counted_system(self, seed, size=12):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((size, size))
+        h = m @ m.T + size * np.eye(size)
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return h @ x
+
+        return h, rng.standard_normal(size), matvec, calls
+
+    def test_converged_solve_reuses_confirmed_residual(self):
+        h, b, matvec, calls = self._counted_system(40)
+        x, stats = _conjugate_gradient(matvec, b, np.zeros_like(b), 1e-10, 100)
+        assert stats.converged
+        # the start residual, one per step, and the confirming true residual
+        assert len(calls) == stats.iterations + 2
+        want = np.linalg.norm(b - h @ x) / np.linalg.norm(b)
+        assert stats.residual == pytest.approx(want, rel=1e-12)
+
+    def test_warm_start_within_tolerance_costs_one_matvec(self):
+        h, b, matvec, calls = self._counted_system(41)
+        x0 = np.linalg.solve(h, b)
+        x, stats = _conjugate_gradient(matvec, b, x0, 1e-8, 100)
+        assert stats.converged and stats.iterations == 0
+        assert len(calls) == 1
+        np.testing.assert_array_equal(x, x0)
+
+    def test_budget_exit_recomputes_true_residual(self):
+        h, b, matvec, calls = self._counted_system(42)
+        x, stats = _conjugate_gradient(matvec, b, np.zeros_like(b), 1e-10, 2)
+        assert stats.iterations == 2 and not stats.converged
+        assert len(calls) == stats.iterations + 2
+        want = np.linalg.norm(b - h @ x) / np.linalg.norm(b)
+        assert stats.residual == pytest.approx(want, rel=1e-12)
+
+
 class TestUpdateViewWeights:
     def _setup(self, seed, dims=(3, 4), n=9, k=3, rank=3, gamma=0.05):
         rng = np.random.default_rng(seed)
         z, w, f = random_model(rng, dims, n=n, k=k, rank=rank)
         cfg = FitConfig(rank=rank, gamma=gamma)
-        irls = IRLSState.from_weights(w, cfg.irls_epsilon)
-        return z, w, f, irls, cfg
+        return z, w, f, cfg
 
     def test_residual_contract(self):
         for seed in range(5):
-            z, w, f, irls, cfg = self._setup(seed)
-            new_w, stats = update_view_weights(0, z, w, f, irls, cfg)
+            z, w, f, cfg = self._setup(seed)
+            new_w, stats = update_view_weights(0, z, w, f, cfg)
             assert stats.converged or stats.iterations >= cfg.cg_max_iters
             # recompute the residual independently of the CG bookkeeping
             A = z.z_views[0]
             B = compute_embedding(z, w, exclude=0)
             C = w.cluster_factor.T @ w.cluster_factor
             E = A @ (B * (f.matrix @ w.cluster_factor))
-            lhs = apply_H(new_w.ravel(order="F"), A, B, C, irls.diags[0], cfg.gamma)
+            d = irls_diag(w.view_factors[0], cfg.irls_epsilon)
+            lhs = apply_H(new_w.ravel(order="F"), A, B, C, d, cfg.gamma)
             rel = np.linalg.norm(lhs - E.ravel(order="F")) / np.linalg.norm(E)
             assert rel <= cfg.cg_tol * 1.01
 
     def test_large_gamma_rowwise_shrinkage_limit(self):
-        z, w, f, irls, _ = self._setup(3)
+        z, w, f, _ = self._setup(3)
         cfg = FitConfig(rank=3, gamma=1e8)
-        new_w, stats = update_view_weights(0, z, w, f, irls, cfg)
+        new_w, stats = update_view_weights(0, z, w, f, cfg)
         assert stats.converged
         A = z.z_views[0]
         B = compute_embedding(z, w, exclude=0)
         E = A @ (B * (f.matrix @ w.cluster_factor))
-        limit = E / (cfg.gamma * irls.diags[0][:, None])
+        d = irls_diag(w.view_factors[0], cfg.irls_epsilon)
+        limit = E / (cfg.gamma * d[:, None])
         # regularization dominates: the solve degenerates to rowwise scaling
         np.testing.assert_allclose(new_w, limit, rtol=1e-2, atol=1e-9)
         assert np.linalg.norm(new_w) < 1e-3 * np.linalg.norm(w.view_factors[0])
@@ -368,34 +392,34 @@ class TestUpdateViewWeights:
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
         cfg = FitConfig(rank=k, gamma=1.0, cg_tol=1e-12, cg_max_iters=2000)
-        irls = IRLSState.from_weights(w, cfg.irls_epsilon)
-        new_w, _ = update_view_weights(0, z, w, f, irls, cfg)
+        new_w, _ = update_view_weights(0, z, w, f, cfg)
         A = z.z_views[0]
         B = compute_embedding(z, w, exclude=0)
         E = A @ (B * (f.matrix @ w.cluster_factor))
-        H = dense_H(A, B, np.eye(k), irls.diags[0], cfg.gamma)
+        d = irls_diag(w.view_factors[0], cfg.irls_epsilon)
+        H = dense_H(A, B, np.eye(k), d, cfg.gamma)
         ref = np.linalg.solve(H, E.ravel(order="F")).reshape(new_w.shape, order="F")
         np.testing.assert_allclose(new_w, ref, rtol=1e-6, atol=1e-12)
 
     def test_step_budget(self):
-        z, w, f, irls, cfg = self._setup(4)
+        z, w, f, cfg = self._setup(4)
         for budget in (1, 3):
-            _, stats = update_view_weights(0, z, w, f, irls, cfg, max_iters=budget)
+            _, stats = update_view_weights(0, z, w, f, cfg, max_iters=budget)
             assert stats.iterations == budget and not stats.converged
         with pytest.raises(ValueError, match="max_iters"):
-            update_view_weights(0, z, w, f, irls, cfg, max_iters=0)
+            update_view_weights(0, z, w, f, cfg, max_iters=0)
 
     def test_warm_start_beats_zero_start_at_fixed_budget(self):
         # after one outer pass the factor sits near the new system's solution,
         # so restarting CG from it must do at least as well as starting cold
         wins = 0
         for seed in range(10):
-            z, w, f, irls, cfg = self._setup(seed + 100)
-            solved, _ = update_view_weights(0, z, w, f, irls, cfg)
+            z, w, f, cfg = self._setup(seed + 100)
+            solved, _ = update_view_weights(0, z, w, f, cfg)
             factors = list(w.view_factors)
             factors[0] = solved
             w2 = CPWeights(tuple(factors), w.cluster_factor)
-            irls2 = IRLSState.from_weights(w2, cfg.irls_epsilon)
+            d2 = irls_diag(w2.view_factors[0], cfg.irls_epsilon)
             A = z.z_views[0]
             B = compute_embedding(z, w2, exclude=0)
             C = w2.cluster_factor.T @ w2.cluster_factor
@@ -403,7 +427,7 @@ class TestUpdateViewWeights:
             b = E.ravel(order="F")
 
             def matvec(vec):
-                return apply_H(vec, A, B, C, irls2.diags[0], cfg.gamma)
+                return apply_H(vec, A, B, C, d2, cfg.gamma)
 
             budget = 3
             _, warm = _conjugate_gradient(matvec, b, solved.ravel(order="F"), 1e-16, budget)
@@ -427,8 +451,7 @@ class TestUpdateClusterWeights:
         w = CPWeights((factor,), rng.standard_normal((k, rank)))
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
-        irls = IRLSState.from_weights(w, 1e-12)
-        new_cf = update_cluster_weights(z, w, f, irls, 0.0)
+        new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=0.0))
         emb = compute_embedding(z, w)
         np.testing.assert_allclose(new_cf, f.matrix.T @ emb, atol=1e-8)
 
@@ -437,20 +460,19 @@ class TestUpdateClusterWeights:
         z, w, f = random_model(rng, (3, 2), n=6, k=2, rank=2)
         zero_f = ClusterIndicator.__new__(ClusterIndicator)
         object.__setattr__(zero_f, "matrix", np.zeros((6, 2)))
-        irls = IRLSState.from_weights(w, 1e-12)
-        new_cf = update_cluster_weights(z, w, zero_f, irls, 0.3)
+        new_cf = update_cluster_weights(z, w, zero_f, FitConfig(gamma=0.3))
         np.testing.assert_allclose(new_cf, 0.0, atol=1e-12)
 
     def test_equation_residual(self):
         rng = np.random.default_rng(23)
         for seed in range(10):
             z, w, f = random_model(rng, (3, 4), n=8, k=3, rank=3)
-            irls = IRLSState.from_weights(w, 1e-12)
             gamma = 0.05
-            new_cf = update_cluster_weights(z, w, f, irls, gamma)
+            new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=gamma))
             emb = compute_embedding(z, w)
             gram = emb.T @ emb
-            lhs = new_cf @ gram + gamma * irls.diags[-1][:, None] * new_cf
+            p = irls_diag(w.cluster_factor, 1e-12)
+            lhs = new_cf @ gram + gamma * p[:, None] * new_cf
             rhs = f.matrix.T @ emb
             assert np.linalg.norm(lhs - rhs) < 1e-8 * (1 + np.linalg.norm(rhs))
 
@@ -463,9 +485,8 @@ class TestUpdateClusterWeights:
         w = CPWeights((np.zeros((4, 3)),), rng.standard_normal((k, 3)))
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
-        irls = IRLSState.from_weights(w, 1e-12)
         with pytest.warns(RuntimeWarning, match="jitter"):
-            new_cf = update_cluster_weights(z, w, f, irls, 0.0)
+            new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=0.0))
         np.testing.assert_allclose(new_cf, 0.0, atol=1e-12)
 
     def test_rank_deficient_gamma_zero_meets_contract(self):
@@ -479,8 +500,7 @@ class TestUpdateClusterWeights:
         w = CPWeights((factor,), rng.standard_normal((k, 3)))
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
-        irls = IRLSState.from_weights(w, 1e-12)
-        new_cf = update_cluster_weights(z, w, f, irls, 0.0)
+        new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=0.0))
         emb = compute_embedding(z, w)
         gram = emb.T @ emb
         rhs = f.matrix.T @ emb
@@ -490,11 +510,10 @@ class TestUpdateClusterWeights:
         # random perturbations never improve the frozen-reweighting surrogate
         rng = np.random.default_rng(25)
         z, w, f = random_model(rng, (3, 2), n=7, k=3, rank=2)
-        irls = IRLSState.from_weights(w, 1e-12)
         gamma = 0.05
-        new_cf = update_cluster_weights(z, w, f, irls, gamma)
+        new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=gamma))
         emb = compute_embedding(z, w)
-        p = irls.diags[-1]
+        p = irls_diag(w.cluster_factor, 1e-12)
 
         def surrogate(cf):
             resid = emb @ cf.T - f.matrix

@@ -1,5 +1,7 @@
 """Synthetic generators and the concatenated-regression baseline."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,18 @@ class TestBaselineRegressionCluster:
         report = baseline_regression_cluster(ds, 3, FitConfig(rank=3, max_outer_iters=1))
         assert report.n_iterations == 1
         assert report.model == "concat_regression"
+
+    def test_debug_log_line_per_iteration(self, caplog):
+        # the baseline runs the fit's outer loop, whose debug line must cope
+        # with an iteration that made no CG solves
+        ds = self._separated(3)
+        with caplog.at_level(logging.DEBUG, logger="mmclust.solver"):
+            report = baseline_regression_cluster(ds, 3, FitConfig(rank=3, max_outer_iters=5))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
+        assert len(lines) == report.n_iterations
+        for line, rec in zip(lines, report.trace):
+            assert line.startswith(f"iteration {rec.iteration}: ")
+            assert "cg_steps=0 " in line
 
     def test_objective_monotone(self):
         ds = self._separated(1)
