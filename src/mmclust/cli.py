@@ -1,5 +1,5 @@
 """Command-line surface: generate benchmarks, fit models, sweep ranks,
-evaluate predictions, and run the oracle cross-check suite.
+evaluate predictions, and report the oracle cross-checks of ``oracle.run_checks``.
 
 Verbosity is controlled by the ``MMCLUST_LOG`` environment variable (one of
 ``debug``, ``info``, ``warning``, ``error``).
@@ -8,7 +8,6 @@ Verbosity is controlled by the ``MMCLUST_LOG`` environment variable (one of
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import logging
 import os
@@ -17,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle, solver
-from .data import DataError, MultiViewDataset, _read_labels, augment, load_dataset
+from . import oracle
+from .data import DataError, _read_labels, load_dataset
 from .metrics import Partition, accuracy, nmi
 from .solver import FitConfig, SolverError, fit
 from .synth import SynthSpec, baseline_regression_cluster, generate
 
-__all__ = ["cli_main", "main", "run_oracle_checks"]
+__all__ = ["cli_main", "main"]
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -96,30 +95,26 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.manifest)
-    report = fit(dataset, args.k, _fit_config_from(args))
+def _print_and_write(report, out: str | None) -> int:
     print(
         f"model={report.model} converged={report.converged} "
         f"iterations={report.n_iterations} objective={report.trace[-1].objective:.6e}"
     )
-    if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
-        print(f"report written to {args.out}")
+    if out:
+        Path(out).write_text(report.to_json() + "\n", encoding="utf-8")
+        print(f"report written to {out}")
     return 0
+
+
+def _cmd_fit(args: argparse.Namespace) -> int:
+    dataset = load_dataset(args.manifest)
+    return _print_and_write(fit(dataset, args.k, _fit_config_from(args)), args.out)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.manifest)
-    report = baseline_regression_cluster(dataset, args.k, _fit_config_from(args, rank=args.k))
-    print(
-        f"model={report.model} converged={report.converged} "
-        f"iterations={report.n_iterations} objective={report.trace[-1].objective:.6e}"
-    )
-    if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
-        print(f"report written to {args.out}")
-    return 0
+    config = _fit_config_from(args, rank=args.k)
+    return _print_and_write(baseline_regression_cluster(dataset, args.k, config), args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -170,229 +165,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Oracle cross-checks
-# ---------------------------------------------------------------------------
-
-
-def _random_model(rng, n=7, dims=(3, 2, 4), k=3, rank=2):
-    views = tuple(rng.standard_normal((d, n)) for d in dims)
-    z = augment(MultiViewDataset(views))
-    factors = tuple(rng.standard_normal((d + 1, rank)) for d in dims)
-    cluster = rng.standard_normal((k, rank))
-    weights = solver.CPWeights(factors, cluster)
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    indicator = solver.ClusterIndicator(q)
-    return z, weights, indicator
-
-
-def _exhaustive_accuracy(true_labels, pred_labels):
-    """Best matched fraction over every permutation of the padded label set."""
-    kt = int(np.max(true_labels)) + 1
-    kp = int(np.max(pred_labels)) + 1
-    size = max(kt, kp)
-    table = np.zeros((size, size), dtype=np.int64)
-    np.add.at(table, (np.asarray(true_labels), np.asarray(pred_labels)), 1)
-    best = max(
-        sum(int(table[perm[p], p]) for p in range(size))
-        for perm in itertools.permutations(range(size))
-    )
-    return best / len(true_labels)
-
-
-def run_oracle_checks(seed: int = 0):
-    """Run every dual-path equivalence check; returns (name, ok, detail) tuples."""
-    results = []
-
-    def record(name, ok, detail):
-        results.append((name, bool(ok), detail))
-
-    rng = np.random.default_rng(seed)
-
-    # factorized scores against the materialized weight tensor
-    worst = 0.0
-    for _ in range(60):
-        dims = tuple(int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4))))
-        k = int(rng.integers(1, 4))
-        rank = int(rng.integers(1, 4))
-        z, weights, _ = _random_model(rng, n=int(rng.integers(2, 6)), dims=dims, k=k, rank=rank)
-        scores = solver.predict_scores(z, weights)
-        full = oracle.materialize_cp(weights)
-        for n_idx in range(z.n_instances):
-            for k_idx in range(k):
-                ref = oracle.full_tensor_predict(z, full, n_idx, k_idx)
-                worst = max(worst, abs(scores[n_idx, k_idx] - ref))
-    record("score-vs-full-tensor", worst < 1e-10, f"max |delta| {worst:.3e} over 60 draws")
-
-    # matrix-free operator against the dense Kronecker assembly
-    worst = 0.0
-    for _ in range(40):
-        m, n, r = (int(rng.integers(1, 7)) for _ in range(3))
-        A = rng.standard_normal((m, n))
-        B = rng.standard_normal((n, r))
-        G = rng.standard_normal((r, r))
-        C = G.T @ G
-        d = rng.uniform(0.1, 2.0, size=m)
-        gamma = float(rng.uniform(0.01, 2.0))
-        x = rng.standard_normal(m * r)
-        dense = oracle.dense_H(A, B, C, d, gamma) @ x
-        fast = solver.apply_H(x, A, B, C, d, gamma)
-        worst = max(worst, np.linalg.norm(dense - fast) / max(np.linalg.norm(dense), 1e-30))
-    record("operator-vs-dense-system", worst < 1e-10, f"max rel err {worst:.3e} over 40 draws")
-
-    # dense system is symmetric positive definite for PSD C and gamma > 0
-    min_eig, max_asym = np.inf, 0.0
-    for _ in range(10):
-        m, n, r = (int(rng.integers(1, 6)) for _ in range(3))
-        A = rng.standard_normal((m, n))
-        B = rng.standard_normal((n, r))
-        G = rng.standard_normal((r, r))
-        H = oracle.dense_H(A, B, G.T @ G, rng.uniform(0.1, 1.0, size=m), 0.5)
-        max_asym = max(max_asym, float(np.max(np.abs(H - H.T))))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(H).min()))
-    record(
-        "dense-system-spd",
-        min_eig > 0 and max_asym < 1e-10,
-        f"min eigenvalue {min_eig:.3e}, max asymmetry {max_asym:.3e}",
-    )
-
-    # vec/Kronecker identity
-    worst = 0.0
-    for _ in range(20):
-        a = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-        b = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-        x = rng.standard_normal((a.shape[1], b.shape[0]))
-        lhs = np.kron(b.T, a) @ x.ravel(order="F")
-        rhs = (a @ x @ b).ravel(order="F")
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    record("vec-kronecker-identity", worst < 1e-12, f"max |delta| {worst:.3e} over 20 draws")
-
-    # view-factor CG solves meet their residual contract
-    ok, worst = True, 0.0
-    config = FitConfig(rank=3, gamma=0.05)
-    for _ in range(10):
-        z, weights, indicator = _random_model(rng, n=8, dims=(3, 4), k=3, rank=3)
-        view = int(rng.integers(0, 2))
-        _, stats = solver.update_view_weights(view, z, weights, indicator, config)
-        ok = ok and (stats.converged or stats.iterations >= config.cg_max_iters)
-        worst = max(worst, stats.residual)
-    record("view-solve-residual", ok, f"max rel residual {worst:.3e} over 10 draws")
-
-    # a budgeted view update lowers the quadratic 1/2 x'Hx - b'x of its dense
-    # system below the value at the (random, far from optimal) warm start, and
-    # never takes more steps than its budget
-    ok, worst = True, -np.inf
-    for _ in range(4):
-        z, weights, indicator = _random_model(rng, n=8, dims=(3, 4), k=3, rank=3)
-        view = int(rng.integers(0, 2))
-        A = z.z_views[view]
-        other = 1 - view
-        B = z.z_views[other].T @ weights.view_factors[other]
-        cf = weights.cluster_factor
-        d = solver.irls_diag(weights.view_factors[view], config.irls_epsilon)
-        H = oracle.dense_H(A, B, cf.T @ cf, d, config.gamma)
-        b = (A @ (B * (indicator.matrix @ cf))).ravel(order="F")
-
-        def quadratic(x):
-            return 0.5 * float(x @ H @ x) - float(b @ x)
-
-        start = quadratic(weights.view_factors[view].ravel(order="F"))
-        for budget in (1, 2, 5):
-            new, stats = solver.update_view_weights(
-                view, z, weights, indicator, config, max_iters=budget
-            )
-            change = (quadratic(new.ravel(order="F")) - start) / max(abs(start), 1.0)
-            ok = ok and change < 0.0 and stats.iterations <= budget
-            worst = max(worst, change)
-    record(
-        "budgeted-view-solve-descent",
-        ok,
-        f"max relative quadratic change {worst:.3e}, budgets 1/2/5 over 4 draws",
-    )
-
-    # cluster-factor solve satisfies its stationarity equation
-    worst = 0.0
-    for _ in range(10):
-        z, weights, indicator = _random_model(rng, n=8, dims=(3, 4), k=3, rank=3)
-        new_cf = solver.update_cluster_weights(z, weights, indicator, config)
-        emb = solver.compute_embedding(z, weights)
-        gram = emb.T @ emb
-        p = solver.irls_diag(weights.cluster_factor, config.irls_epsilon)
-        lhs = new_cf @ gram + config.gamma * p[:, None] * new_cf
-        target = indicator.matrix.T @ emb
-        worst = max(
-            worst,
-            float(np.linalg.norm(lhs - target)) / (1.0 + float(np.linalg.norm(target))),
-        )
-    record("cluster-solve-residual", worst < 1e-8, f"max scaled residual {worst:.3e} over 10 draws")
-
-    # indicator update: orthonormal and no random orthonormal candidate beats it
-    ok, worst_gram = True, 0.0
-    for _ in range(5):
-        z, weights, _ = _random_model(rng, n=8, dims=(3, 4), k=3, rank=3)
-        indicator = solver.update_indicator(z, weights)
-        f = indicator.matrix
-        worst_gram = max(
-            worst_gram, float(np.max(np.abs(f.T @ f - np.eye(f.shape[1]))))
-        )
-        scores = solver.predict_scores(z, weights)
-        trace_best = float(np.trace(f.T @ scores))
-        for _ in range(200):
-            q, _ = np.linalg.qr(rng.standard_normal(f.shape))
-            if float(np.trace(q.T @ scores)) > trace_best + 1e-10:
-                ok = False
-    record(
-        "indicator-procrustes-optimality",
-        ok and worst_gram < 1e-8,
-        f"max gram deviation {worst_gram:.3e}, 200 candidates/draw",
-    )
-
-    # Hungarian matching equals exhaustive permutation search
-    ok = True
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        true_labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
-        pred_labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
-        true_p = Partition.from_labels(true_labels)
-        pred_p = Partition.from_labels(pred_labels)
-        if abs(accuracy(true_p, pred_p) - _exhaustive_accuracy(true_labels, pred_labels)) > 1e-12:
-            ok = False
-    record("matching-vs-exhaustive", ok, "200 random partition pairs, sizes <= 6")
-
-    # NMI equals a direct contingency-table recomputation
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 30))
-        kt, kp = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        t = rng.integers(0, kt, size=n)
-        p = rng.integers(0, kp, size=n)
-        fast = nmi(Partition.from_labels(t, k=kt), Partition.from_labels(p, k=kp))
-        table = np.zeros((kt, kp))
-        for i in range(n):
-            table[t[i], p[i]] += 1
-        pt, pp = table.sum(1) / n, table.sum(0) / n
-        ht = -sum(q * np.log(q) for q in pt if q > 0)
-        hp = -sum(q * np.log(q) for q in pp if q > 0)
-        if ht == 0.0 and hp == 0.0:
-            ref = 1.0
-        elif ht == 0.0 or hp == 0.0:
-            ref = 0.0
-        else:
-            info = sum(
-                (table[i, j] / n) * np.log(n * table[i, j] / (table[i, :].sum() * table[:, j].sum()))
-                for i in range(kt)
-                for j in range(kp)
-                if table[i, j] > 0
-            )
-            ref = info / np.sqrt(ht * hp)
-        worst = max(worst, abs(fast - min(max(ref, 0.0), 1.0)))
-    record("nmi-vs-contingency", worst < 1e-12, f"max |delta| {worst:.3e} over 100 draws")
-
-    return results
-
-
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    results = run_oracle_checks(seed=args.seed)
+    results = oracle.run_checks(seed=args.seed)
     failed = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"

@@ -1,18 +1,28 @@
-"""Brute-force reference computations used to cross-check the solver.
+"""Reference paths for the dual-path checks, and the runner that compares them
+with the solver's fast paths.
 
-Everything here materializes objects the solver deliberately avoids forming:
-the full weight tensor, the dense system matrix of the view-factor update, and
-explicit outer products.  These paths share no code with the solver module, so
-agreement between the two is evidence, not tautology.  Intended for tests and
-the ``oracle-check`` command; sizes are capped to keep runs at desk scale.
+The reference paths materialize objects the solver deliberately avoids
+forming: the full weight tensor, the dense system matrix of the view-factor
+update, and explicit outer products.  They recompute the clustering metrics
+by brute force: exhaustive permutation search for accuracy and a scalar
+contingency-table loop for NMI.  They share no code with the solver or metrics
+modules, so agreement between the two is evidence, not tautology.
+``run_checks`` is the one place where the two meet; the ``oracle-check``
+command prints its verdicts and the tests reuse its references and fixtures.
+Sizes are capped to keep runs at desk scale.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+
+from . import metrics, solver
+from .data import MultiViewDataset, augment
 
 __all__ = [
     "DenseTensor",
@@ -21,6 +31,11 @@ __all__ = [
     "materialize_cp",
     "full_tensor_predict",
     "dense_H",
+    "random_model",
+    "exhaustive_accuracy",
+    "nmi_from_contingency",
+    "set_partitions",
+    "run_checks",
 ]
 
 MATERIALIZE_ENTRY_CAP = 1_000_000
@@ -150,3 +165,248 @@ def dense_H(A, B, C, D_diag, gamma: float, max_size: int = DENSE_SYSTEM_SIZE_CAP
         np.kron(eye_r, A) @ weight @ np.kron(C.T, np.eye(n)) @ weight @ np.kron(eye_r, A.T)
     )
     return np.kron(eye_r, gamma * np.diag(D_diag)) + interaction
+
+
+def random_model(rng, dims, n, k, rank):
+    """Random augmented views, CP weights and orthonormal cluster indicator,
+    drawn in that order from ``rng``."""
+    z = augment(MultiViewDataset(tuple(rng.standard_normal((d, n)) for d in dims)))
+    weights = solver.CPWeights(
+        tuple(rng.standard_normal((d + 1, rank)) for d in dims),
+        rng.standard_normal((k, rank)),
+    )
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return z, weights, solver.ClusterIndicator(q)
+
+
+def exhaustive_accuracy(true_labels, pred_labels) -> float:
+    """Best matched fraction over every permutation of the padded label set."""
+    true_labels = np.asarray(true_labels)
+    pred_labels = np.asarray(pred_labels)
+    size = max(int(true_labels.max()), int(pred_labels.max())) + 1
+    table = np.zeros((size, size), dtype=np.int64)
+    np.add.at(table, (true_labels, pred_labels), 1)
+    perms = np.array(list(itertools.permutations(range(size))))
+    return float(table[perms, np.arange(size)].sum(axis=1).max()) / true_labels.size
+
+
+def nmi_from_contingency(true_labels, pred_labels) -> float:
+    """NMI recomputed directly from the contingency table, clipped to [0, 1]."""
+    true_labels = np.asarray(true_labels)
+    pred_labels = np.asarray(pred_labels)
+    n = true_labels.size
+    kt, kp = int(true_labels.max()) + 1, int(pred_labels.max()) + 1
+    table = np.zeros((kt, kp))
+    for t, p in zip(true_labels, pred_labels):
+        table[t, p] += 1
+    pt, pp = table.sum(axis=1) / n, table.sum(axis=0) / n
+    ht = -sum(q * math.log(q) for q in pt if q > 0)
+    hp = -sum(q * math.log(q) for q in pp if q > 0)
+    if ht == 0.0 and hp == 0.0:
+        return 1.0
+    if ht == 0.0 or hp == 0.0:
+        return 0.0
+    info = sum(
+        (table[t, p] / n) * math.log(n * table[t, p] / (table[t].sum() * table[:, p].sum()))
+        for t in range(kt)
+        for p in range(kp)
+        if table[t, p] > 0
+    )
+    return min(max(info / math.sqrt(ht * hp), 0.0), 1.0)
+
+
+def set_partitions(n: int) -> list[tuple[int, ...]]:
+    """All canonical partitions of n items as restricted growth strings."""
+    results = []
+
+    def grow(prefix, n_used):
+        if len(prefix) == n:
+            results.append(tuple(prefix))
+            return
+        for label in range(n_used + 1):
+            grow(prefix + [label], max(n_used, label + 1))
+
+    grow([], 0)
+    return results
+
+
+def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
+    """Compare every fast path with its reference on random draws from
+    ``seed``; returns one (name, ok, detail) tuple per check, in a fixed order.
+
+    The fast paths are looked up on their modules at call time, so a patched
+    ``solver`` or ``metrics`` function is the one checked.
+    """
+    results = []
+
+    def record(name, ok, detail):
+        results.append((name, bool(ok), detail))
+
+    rng = np.random.default_rng(seed)
+
+    # factorized scores against the materialized weight tensor
+    worst = 0.0
+    for _ in range(60):
+        dims = tuple(int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4))))
+        k = int(rng.integers(1, 4))
+        rank = int(rng.integers(1, 4))
+        n = int(rng.integers(2, 6))
+        z, weights, _ = random_model(rng, dims, n, k, rank)
+        scores = solver.predict_scores(z, weights)
+        full = materialize_cp(weights)
+        for n_idx in range(n):
+            for k_idx in range(k):
+                ref = full_tensor_predict(z, full, n_idx, k_idx)
+                worst = max(worst, abs(scores[n_idx, k_idx] - ref))
+    record("score-vs-full-tensor", worst < 1e-10, f"max |delta| {worst:.3e} over 60 draws")
+
+    # matrix-free operator against the dense Kronecker assembly
+    worst = 0.0
+    for _ in range(40):
+        m, n, r = (int(rng.integers(1, 7)) for _ in range(3))
+        A = rng.standard_normal((m, n))
+        B = rng.standard_normal((n, r))
+        G = rng.standard_normal((r, r))
+        C = G.T @ G
+        d = rng.uniform(0.1, 2.0, size=m)
+        gamma = float(rng.uniform(0.01, 2.0))
+        x = rng.standard_normal(m * r)
+        dense = dense_H(A, B, C, d, gamma) @ x
+        fast = solver.apply_H(x, A, B, C, d, gamma)
+        worst = max(worst, np.linalg.norm(dense - fast) / max(np.linalg.norm(dense), 1e-30))
+    record("operator-vs-dense-system", worst < 1e-10, f"max rel err {worst:.3e} over 40 draws")
+
+    # dense system is symmetric positive definite for PSD C and gamma > 0
+    min_eig, max_asym = np.inf, 0.0
+    for _ in range(10):
+        m, n, r = (int(rng.integers(1, 6)) for _ in range(3))
+        A = rng.standard_normal((m, n))
+        B = rng.standard_normal((n, r))
+        G = rng.standard_normal((r, r))
+        H = dense_H(A, B, G.T @ G, rng.uniform(0.1, 1.0, size=m), 0.5)
+        max_asym = max(max_asym, float(np.max(np.abs(H - H.T))))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(H).min()))
+    record(
+        "dense-system-spd",
+        min_eig > 0 and max_asym < 1e-10,
+        f"min eigenvalue {min_eig:.3e}, max asymmetry {max_asym:.3e}",
+    )
+
+    # vec/Kronecker identity
+    worst = 0.0
+    for _ in range(20):
+        a = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        b = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        x = rng.standard_normal((a.shape[1], b.shape[0]))
+        lhs = np.kron(b.T, a) @ x.ravel(order="F")
+        rhs = (a @ x @ b).ravel(order="F")
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    record("vec-kronecker-identity", worst < 1e-12, f"max |delta| {worst:.3e} over 20 draws")
+
+    # view-factor CG solves meet their residual contract
+    ok, worst = True, 0.0
+    config = solver.FitConfig(rank=3, gamma=0.05)
+    for _ in range(10):
+        z, weights, indicator = random_model(rng, (3, 4), n=8, k=3, rank=3)
+        view = int(rng.integers(0, 2))
+        _, stats = solver.update_view_weights(view, z, weights, indicator, config)
+        ok = ok and (stats.converged or stats.iterations >= config.cg_max_iters)
+        worst = max(worst, stats.residual)
+    record("view-solve-residual", ok, f"max rel residual {worst:.3e} over 10 draws")
+
+    # a budgeted view update lowers the quadratic 1/2 x'Hx - b'x of its dense
+    # system below the value at the (random, far from optimal) warm start, and
+    # never takes more steps than its budget
+    ok, worst = True, -np.inf
+    for _ in range(4):
+        z, weights, indicator = random_model(rng, (3, 4), n=8, k=3, rank=3)
+        view = int(rng.integers(0, 2))
+        A = z.z_views[view]
+        other = 1 - view
+        B = z.z_views[other].T @ weights.view_factors[other]
+        cf = weights.cluster_factor
+        d = solver.irls_diag(weights.view_factors[view], config.irls_epsilon)
+        H = dense_H(A, B, cf.T @ cf, d, config.gamma)
+        b = (A @ (B * (indicator.matrix @ cf))).ravel(order="F")
+
+        def quadratic(x):
+            return 0.5 * float(x @ H @ x) - float(b @ x)
+
+        start = quadratic(weights.view_factors[view].ravel(order="F"))
+        for budget in (1, 2, 5):
+            new, stats = solver.update_view_weights(
+                view, z, weights, indicator, config, max_iters=budget
+            )
+            change = (quadratic(new.ravel(order="F")) - start) / max(abs(start), 1.0)
+            ok = ok and change < 0.0 and stats.iterations <= budget
+            worst = max(worst, change)
+    record(
+        "budgeted-view-solve-descent",
+        ok,
+        f"max relative quadratic change {worst:.3e}, budgets 1/2/5 over 4 draws",
+    )
+
+    # cluster-factor solve satisfies its stationarity equation
+    worst = 0.0
+    for _ in range(10):
+        z, weights, indicator = random_model(rng, (3, 4), n=8, k=3, rank=3)
+        new_cf = solver.update_cluster_weights(z, weights, indicator, config)
+        emb = solver.compute_embedding(z, weights)
+        gram = emb.T @ emb
+        p = solver.irls_diag(weights.cluster_factor, config.irls_epsilon)
+        lhs = new_cf @ gram + config.gamma * p[:, None] * new_cf
+        target = indicator.matrix.T @ emb
+        worst = max(
+            worst,
+            float(np.linalg.norm(lhs - target)) / (1.0 + float(np.linalg.norm(target))),
+        )
+    record("cluster-solve-residual", worst < 1e-8, f"max scaled residual {worst:.3e} over 10 draws")
+
+    # indicator update: orthonormal and no random orthonormal candidate beats it
+    ok, worst_gram = True, 0.0
+    for _ in range(5):
+        z, weights, _ = random_model(rng, (3, 4), n=8, k=3, rank=3)
+        indicator = solver.update_indicator(z, weights)
+        f = indicator.matrix
+        worst_gram = max(
+            worst_gram, float(np.max(np.abs(f.T @ f - np.eye(f.shape[1]))))
+        )
+        scores = solver.predict_scores(z, weights)
+        trace_best = float(np.trace(f.T @ scores))
+        for _ in range(200):
+            q, _ = np.linalg.qr(rng.standard_normal(f.shape))
+            if float(np.trace(q.T @ scores)) > trace_best + 1e-10:
+                ok = False
+    record(
+        "indicator-procrustes-optimality",
+        ok and worst_gram < 1e-8,
+        f"max gram deviation {worst_gram:.3e}, 200 candidates/draw",
+    )
+
+    # Hungarian matching equals exhaustive permutation search
+    ok = True
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        true_labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        pred_labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        fast = metrics.accuracy(
+            metrics.Partition.from_labels(true_labels), metrics.Partition.from_labels(pred_labels)
+        )
+        if abs(fast - exhaustive_accuracy(true_labels, pred_labels)) > 1e-12:
+            ok = False
+    record("matching-vs-exhaustive", ok, "200 random partition pairs, sizes <= 6")
+
+    # NMI equals a direct contingency-table recomputation
+    worst = 0.0
+    for _ in range(100):
+        n = int(rng.integers(2, 30))
+        kt, kp = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        t = rng.integers(0, kt, size=n)
+        p = rng.integers(0, kp, size=n)
+        fast = metrics.nmi(
+            metrics.Partition.from_labels(t, k=kt), metrics.Partition.from_labels(p, k=kp)
+        )
+        worst = max(worst, abs(fast - nmi_from_contingency(t, p)))
+    record("nmi-vs-contingency", worst < 1e-12, f"max |delta| {worst:.3e} over 100 draws")
+
+    return results

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mmclust.cli import cli_main, run_oracle_checks
+from mmclust.cli import cli_main
 
 
 def run(capsys, *argv):
@@ -265,21 +265,7 @@ class TestOracleCheckCommand:
     def test_all_checks_pass(self, capsys):
         code, stdout, _ = run(capsys, "oracle-check", "--seed", "3")
         assert code == 0
-        assert "all" in stdout and "passed" in stdout
-        assert "FAIL" not in stdout
-
-    def test_check_names_cover_dual_paths(self):
-        names = [name for name, _, _ in run_oracle_checks(seed=1)]
-        for expected in (
-            "score-vs-full-tensor",
-            "operator-vs-dense-system",
-            "dense-system-spd",
-            "vec-kronecker-identity",
-            "view-solve-residual",
-            "budgeted-view-solve-descent",
-            "cluster-solve-residual",
-            "indicator-procrustes-optimality",
-            "matching-vs-exhaustive",
-            "nmi-vs-contingency",
-        ):
-            assert expected in names
+        lines = stdout.splitlines()
+        assert len(lines) == 11
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+        assert lines[-1] == "all 10 checks passed"

@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+import mmclust
 from mmclust import cli, data, solver, synth
 
 MODULES = {"solver": solver, "data": data, "synth": synth, "cli": cli}
@@ -49,3 +50,15 @@ def test_cli_names_the_harness_patches():
     # by patching these two names in the CLI module
     assert cli.baseline_regression_cluster is synth.baseline_regression_cluster
     assert cli.Path is pathlib.Path
+
+
+def test_package_root_exports_the_library_surface():
+    # the harness fits through the package root
+    assert mmclust.fit is solver.fit
+    assert set(mmclust.__all__) == {
+        "MultiViewDataset", "DataError", "load_dataset",
+        "FitConfig", "FitReport", "SolverError", "fit",
+        "SynthSpec", "generate", "generate_interaction", "baseline_regression_cluster",
+        "Partition", "accuracy", "nmi",
+    }
+    assert all(hasattr(mmclust, name) for name in mmclust.__all__)

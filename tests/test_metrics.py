@@ -1,68 +1,10 @@
 """Clustering metrics: Hungarian-matched accuracy and NMI."""
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 
 from mmclust.metrics import Partition, accuracy, nmi, optimal_label_matching
-
-
-def exhaustive_accuracy(true_labels, pred_labels):
-    """Independent oracle: best matched fraction over every permutation of the
-    padded label set."""
-    true_labels = np.asarray(true_labels)
-    pred_labels = np.asarray(pred_labels)
-    size = max(int(true_labels.max()), int(pred_labels.max())) + 1
-    table = np.zeros((size, size), dtype=np.int64)
-    np.add.at(table, (true_labels, pred_labels), 1)
-    best = max(
-        sum(int(table[perm[p], p]) for p in range(size))
-        for perm in itertools.permutations(range(size))
-    )
-    return best / true_labels.size
-
-
-def nmi_from_contingency(true_labels, pred_labels):
-    """Independent oracle: NMI recomputed directly from the contingency table."""
-    true_labels = np.asarray(true_labels)
-    pred_labels = np.asarray(pred_labels)
-    n = true_labels.size
-    kt, kp = int(true_labels.max()) + 1, int(pred_labels.max()) + 1
-    table = np.zeros((kt, kp))
-    for t, p in zip(true_labels, pred_labels):
-        table[t, p] += 1
-    pt = table.sum(axis=1) / n
-    pp = table.sum(axis=0) / n
-    ht = -sum(q * math.log(q) for q in pt if q > 0)
-    hp = -sum(q * math.log(q) for q in pp if q > 0)
-    if ht == 0.0 and hp == 0.0:
-        return 1.0
-    if ht == 0.0 or hp == 0.0:
-        return 0.0
-    info = sum(
-        (table[t, p] / n) * math.log(n * table[t, p] / (table[t].sum() * table[:, p].sum()))
-        for t in range(kt)
-        for p in range(kp)
-        if table[t, p] > 0
-    )
-    return min(max(info / math.sqrt(ht * hp), 0.0), 1.0)
-
-
-def set_partitions(n):
-    """All canonical partitions of n items as restricted growth strings."""
-    results = []
-
-    def grow(prefix, n_used):
-        if len(prefix) == n:
-            results.append(tuple(prefix))
-            return
-        for label in range(n_used + 1):
-            grow(prefix + [label], max(n_used, label + 1))
-
-    grow([], 0)
-    return results
+from mmclust.oracle import exhaustive_accuracy, nmi_from_contingency, set_partitions
 
 
 class TestPartition:

@@ -1,15 +1,19 @@
-"""The brute-force reference paths themselves, checked scalar-by-scalar."""
+"""The brute-force reference paths checked scalar-by-scalar, and the check
+runner that compares them with the fast paths."""
 
 import numpy as np
 import pytest
 
-from mmclust.data import MultiViewDataset, augment
+from mmclust import solver
+from mmclust.cli import cli_main
 from mmclust.oracle import (
     DenseTensor,
     dense_H,
     full_tensor_predict,
     materialize_cp,
     outer_product,
+    random_model,
+    run_checks,
     tensor_inner,
 )
 from mmclust.solver import CPWeights
@@ -127,13 +131,8 @@ class TestMaterializeCP:
 
 
 class TestFullTensorPredict:
-    def _instance(self, seed=5, dims=(2, 3), n=4, k=2, rank=2):
-        rng = np.random.default_rng(seed)
-        z = augment(MultiViewDataset(tuple(rng.standard_normal((d, n)) for d in dims)))
-        w = CPWeights(
-            tuple(rng.standard_normal((d + 1, rank)) for d in dims),
-            rng.standard_normal((k, rank)),
-        )
+    def _instance(self):
+        z, w, _ = random_model(np.random.default_rng(5), (2, 3), n=4, k=2, rank=2)
         return z, w
 
     def test_zero_tensor_scores_zero(self):
@@ -161,17 +160,6 @@ class TestDenseSystemMatrix:
         h = dense_H(np.eye(3), np.ones((3, 2)), np.eye(2), np.zeros(3), 1.0)
         np.testing.assert_allclose(h, np.eye(6), atol=1e-14)
 
-    def test_symmetric_positive_definite(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            m, n, r = rng.integers(1, 6, size=3)
-            a = rng.standard_normal((m, n))
-            b = rng.standard_normal((n, r))
-            g = rng.standard_normal((r, r))
-            h = dense_H(a, b, g.T @ g, rng.uniform(0.1, 1.0, size=m), 0.7)
-            np.testing.assert_allclose(h, h.T, atol=1e-10)
-            assert np.linalg.eigvalsh(h).min() > 0
-
     def test_size_cap(self):
         with pytest.raises(ValueError, match="cap"):
             dense_H(
@@ -183,14 +171,41 @@ class TestDenseSystemMatrix:
             dense_H(np.ones((3, 2)), np.ones((4, 2)), np.eye(2), np.ones(3), 1.0)
 
 
-class TestVecKroneckerIdentity:
-    def test_matrix_equation_vectorization(self):
-        # kron(B.T, A) @ vec(X) must equal vec(A @ X @ B), vec column-major
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            a = rng.standard_normal((rng.integers(1, 5), rng.integers(1, 5)))
-            b = rng.standard_normal((rng.integers(1, 5), rng.integers(1, 5)))
-            x = rng.standard_normal((a.shape[1], b.shape[0]))
-            lhs = np.kron(b.T, a) @ x.ravel(order="F")
-            rhs = (a @ x @ b).ravel(order="F")
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+CHECK_NAMES = [
+    "score-vs-full-tensor",
+    "operator-vs-dense-system",
+    "dense-system-spd",
+    "vec-kronecker-identity",
+    "view-solve-residual",
+    "budgeted-view-solve-descent",
+    "cluster-solve-residual",
+    "indicator-procrustes-optimality",
+    "matching-vs-exhaustive",
+    "nmi-vs-contingency",
+]
+
+
+@pytest.fixture()
+def broken_operator(monkeypatch):
+    # a matrix-free operator off by 1e-6 * I, far above the 1e-10 check bound
+    exact = solver.apply_H
+    monkeypatch.setattr(solver, "apply_H", lambda x, *args: exact(x, *args) + 1e-6 * x)
+
+
+class TestRunChecks:
+    def test_check_names_cover_dual_paths(self):
+        results = run_checks(seed=1)
+        assert [name for name, _, _ in results] == CHECK_NAMES
+        assert all(ok for _, ok, _ in results)
+
+    def test_broken_operator_fails_only_its_check(self, broken_operator):
+        results = run_checks(seed=0)
+        assert [name for name, _, _ in results] == CHECK_NAMES
+        assert [name for name, ok, _ in results if not ok] == ["operator-vs-dense-system"]
+
+    def test_failed_check_fails_the_command(self, broken_operator, capsys):
+        assert cli_main(["oracle-check"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL operator-vs-dense-system (" in captured.out
+        assert captured.out.count("PASS ") == 9
+        assert captured.err.strip() == "1 of 10 checks failed"

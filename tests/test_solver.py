@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmclust.data import MultiViewDataset, augment
-from mmclust.oracle import dense_H, full_tensor_predict, materialize_cp
+from mmclust.oracle import dense_H, full_tensor_predict, materialize_cp, random_model
 from mmclust.solver import (
     CPWeights,
     ClusterIndicator,
@@ -33,16 +33,6 @@ from mmclust.solver import (
 
 def random_augmented(rng, dims, n):
     return augment(MultiViewDataset(tuple(rng.standard_normal((d, n)) for d in dims)))
-
-
-def random_model(rng, dims, n, k, rank):
-    z = random_augmented(rng, dims, n)
-    weights = CPWeights(
-        tuple(rng.standard_normal((d + 1, rank)) for d in dims),
-        rng.standard_normal((k, rank)),
-    )
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return z, weights, ClusterIndicator(q)
 
 
 def objective_scalar_loops(z, weights, indicator, gamma):
