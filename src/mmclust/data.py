@@ -219,6 +219,15 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     view_paths = manifest["views"]
     if not view_paths:
         raise DataError(f"{path}: manifest lists no views")
+    if not all(isinstance(p, str) for p in view_paths):
+        raise DataError(f"{path}: every 'views' entry must be a file name string")
+    labels_file, names = manifest.get("labels"), manifest.get("names")
+    if labels_file is not None and not isinstance(labels_file, str):
+        raise DataError(f"{path}: 'labels' must be a file name string")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(s, str) for s in names)
+    ):
+        raise DataError(f"{path}: 'names' must be a list of strings")
 
     base = path.parent
     views = [_read_matrix(base / p) for p in view_paths]
@@ -230,12 +239,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
                 f"{p} has {v.shape[1]}"
             )
 
-    labels = None
-    if manifest.get("labels"):
-        labels = _read_labels(base / manifest["labels"], n)
-    names = manifest.get("names")
-    if names is not None:
-        names = tuple(names)
+    labels = _read_labels(base / labels_file, n) if labels_file else None
     return MultiViewDataset(tuple(views), labels=labels, names=names)
 
 

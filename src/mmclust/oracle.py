@@ -309,7 +309,11 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     for _ in range(10):
         z, weights, indicator = random_model(rng, (3, 4), n=8, k=3, rank=3)
         view = int(rng.integers(0, 2))
-        _, stats = solver.update_view_weights(view, z, weights, indicator, config)
+        B = solver.compute_embedding(solver.project(z, weights), exclude=view)
+        _, stats = solver.update_view_weights(
+            z.z_views[view], B, weights.view_factors[view], weights.cluster_factor,
+            indicator, config,
+        )
         ok = ok and (stats.converged or stats.iterations >= config.cg_max_iters)
         worst = max(worst, stats.residual)
     record("view-solve-residual", ok, f"max rel residual {worst:.3e} over 10 draws")
@@ -335,7 +339,7 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         start = quadratic(weights.view_factors[view].ravel(order="F"))
         for budget in (1, 2, 5):
             new, stats = solver.update_view_weights(
-                view, z, weights, indicator, config, max_iters=budget
+                A, B, weights.view_factors[view], cf, indicator, config, max_iters=budget
             )
             change = (quadratic(new.ravel(order="F")) - start) / max(abs(start), 1.0)
             ok = ok and change < 0.0 and stats.iterations <= budget
@@ -350,8 +354,8 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     worst = 0.0
     for _ in range(10):
         z, weights, indicator = random_model(rng, (3, 4), n=8, k=3, rank=3)
-        new_cf = solver.update_cluster_weights(z, weights, indicator, config)
-        emb = solver.compute_embedding(z, weights)
+        emb = solver.compute_embedding(solver.project(z, weights))
+        new_cf = solver.update_cluster_weights(emb, weights.cluster_factor, indicator, config)
         gram = emb.T @ emb
         p = solver.irls_diag(weights.cluster_factor, config.irls_epsilon)
         lhs = new_cf @ gram + config.gamma * p[:, None] * new_cf
@@ -366,12 +370,11 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     ok, worst_gram = True, 0.0
     for _ in range(5):
         z, weights, _ = random_model(rng, (3, 4), n=8, k=3, rank=3)
-        indicator = solver.update_indicator(z, weights)
-        f = indicator.matrix
+        scores = solver.predict_scores(z, weights)
+        f = solver.update_indicator(scores).matrix
         worst_gram = max(
             worst_gram, float(np.max(np.abs(f.T @ f - np.eye(f.shape[1]))))
         )
-        scores = solver.predict_scores(z, weights)
         trace_best = float(np.trace(f.T @ scores))
         for _ in range(200):
             q, _ = np.linalg.qr(rng.standard_normal(f.shape))

@@ -13,7 +13,9 @@ factor update computes its diagonal from the factor it updates, right before
 its solve, so every block minimizes a majorizer anchored at its current value.
 One outer-loop driver runs these updates for ``fit`` and also runs the
 concatenated-view baseline in ``synth``, so both share the trace, stop rule
-and label extraction.
+and label extraction.  Each block update takes only its own operands, and
+``fit`` keeps the per-view projections ``z_v.T @ W_v`` between updates,
+refreshing one after each view update.
 
 The view update is inexact by design (inexact block majorization-minimization,
 Hunter & Lange 2004; Razaviyayn, Hong & Luo 2013): the reweighted system is
@@ -47,6 +49,7 @@ __all__ = [
     "IterationRecord",
     "FitReport",
     "init_model",
+    "project",
     "compute_embedding",
     "predict_scores",
     "objective",
@@ -172,6 +175,9 @@ class FitConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
+        reals = (self.gamma, self.outer_tol, self.cg_tol, self.irls_epsilon, self.init_scale)
+        if not np.all(np.isfinite(reals)):
+            raise ValueError("gamma, tolerances and init_scale must be finite")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.gamma < 0:
@@ -286,19 +292,6 @@ class FitReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_shapes(z: AugmentedViews, weights: CPWeights) -> None:
-    if weights.n_views != z.n_views:
-        raise ValueError(
-            f"weights cover {weights.n_views} views, data has {z.n_views}"
-        )
-    for v, (zv, wv) in enumerate(zip(z.z_views, weights.view_factors)):
-        if zv.shape[0] != wv.shape[0]:
-            raise ValueError(
-                f"view {v}: factor has {wv.shape[0]} rows, augmented view has "
-                f"{zv.shape[0]} features"
-            )
-
-
 def init_model(
     z: AugmentedViews, config: FitConfig, n_clusters: int
 ) -> tuple[CPWeights, ClusterIndicator]:
@@ -320,38 +313,48 @@ def init_model(
     return CPWeights(factors, cluster), ClusterIndicator(q)
 
 
-def compute_embedding(
-    z: AugmentedViews, weights: CPWeights, exclude: int | None = None
-) -> np.ndarray:
-    """Joint latent representation: the elementwise product over views of
-    ``z_view.T @ view_factor`` (shape N x R).
+def project(z: AugmentedViews, weights: CPWeights) -> list[np.ndarray]:
+    """Per-view projections ``z_view.T @ view_factor`` (each N x R), in view
+    order."""
+    if weights.n_views != z.n_views:
+        raise ValueError(f"weights cover {weights.n_views} views, data has {z.n_views}")
+    for v, (zv, wv) in enumerate(zip(z.z_views, weights.view_factors)):
+        if zv.shape[0] != wv.shape[0]:
+            raise ValueError(
+                f"view {v}: factor has {wv.shape[0]} rows, augmented view has "
+                f"{zv.shape[0]} features"
+            )
+    return [zv.T @ wv for zv, wv in zip(z.z_views, weights.view_factors)]
+
+
+def compute_embedding(projections, exclude: int | None = None) -> np.ndarray:
+    """Joint latent representation: the elementwise product of the per-view
+    projections (see ``project``), shape N x R.
 
     With ``exclude`` set, that view is left out of the product; excluding the
     only view yields the all-ones matrix (the empty-product identity).
     """
-    _check_shapes(z, weights)
-    if exclude is not None and not 0 <= exclude < z.n_views:
-        raise ValueError(f"exclude index {exclude} out of range for {z.n_views} views")
-    out = np.ones((z.n_instances, weights.rank))
-    for v, (zv, wv) in enumerate(zip(z.z_views, weights.view_factors)):
-        if v == exclude:
-            continue
-        out *= zv.T @ wv
+    if exclude is not None and not 0 <= exclude < len(projections):
+        raise ValueError(f"exclude {exclude} out of range for {len(projections)} views")
+    out = np.ones(projections[0].shape)
+    for v, p in enumerate(projections):
+        if v != exclude:
+            out *= p
     return out
 
 
 def predict_scores(z: AugmentedViews, weights: CPWeights) -> np.ndarray:
     """N x K score matrix: embedding times the transposed cluster factor."""
-    return compute_embedding(z, weights) @ weights.cluster_factor.T
+    return compute_embedding(project(z, weights)) @ weights.cluster_factor.T
 
 
 def objective(
-    z: AugmentedViews,
+    scores: np.ndarray,
     weights: CPWeights,
     indicator: ClusterIndicator,
     gamma: float,
 ) -> tuple[float, float, float]:
-    """Evaluate the training objective.
+    """Evaluate the training objective from the score matrix of ``weights``.
 
     Returns ``(total, fit_term, reg_term)`` where the fit term is the squared
     Frobenius distance between scores and indicator, and the regularizer is
@@ -360,7 +363,7 @@ def objective(
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    resid = predict_scores(z, weights) - indicator.matrix
+    resid = scores - indicator.matrix
     fit_term = float(np.sum(resid * resid))
     row_norm_sum = 0.0
     for f in (*weights.view_factors, weights.cluster_factor):
@@ -463,16 +466,19 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
 
 
 def update_view_weights(
-    view: int,
-    z: AugmentedViews,
-    weights: CPWeights,
+    z_view: np.ndarray,
+    embedding: np.ndarray,
+    factor: np.ndarray,
+    cluster_factor: np.ndarray,
     indicator: ClusterIndicator,
     config: FitConfig,
     max_iters: int | None = None,
 ) -> tuple[np.ndarray, CGStats]:
     """Solve the reweighted least-squares subproblem for one view's factor.
 
-    The reweighting diagonal comes from the factor being updated
+    ``embedding`` is the product of the other views' projections (N x R) and
+    ``factor`` the current factor (M x R) of the view with data ``z_view``
+    (M x N).  The reweighting diagonal comes from the factor being updated
     (``irls_diag`` with ``config.irls_epsilon``), so the system is the
     majorizer anchored at the current factor.  Its stationarity condition is
     an SPD linear system in the stacked factor; it is applied matrix-free
@@ -483,53 +489,51 @@ def update_view_weights(
     that still never raises the subproblem's quadratic above its value at the
     warm start.  Returns the updated factor matrix and the CG diagnostics.
     """
-    _check_shapes(z, weights)
-    if not 0 <= view < z.n_views:
-        raise ValueError(f"view index {view} out of range")
+    if embedding.shape[0] != z_view.shape[1]:
+        raise ValueError(f"embedding {embedding.shape} does not match view {z_view.shape}")
+    if factor.shape != (z_view.shape[0], embedding.shape[1]):
+        raise ValueError(f"factor {factor.shape} does not match view {z_view.shape}")
     if max_iters is None:
         max_iters = config.cg_max_iters
     elif max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    A = z.z_views[view]
-    B = compute_embedding(z, weights, exclude=view)
-    cf = weights.cluster_factor
-    C = cf.T @ cf
-    d = irls_diag(weights.view_factors[view], config.irls_epsilon)
-    E = A @ (B * (indicator.matrix @ cf))
-    x0 = weights.view_factors[view].ravel(order="F")
+    C = cluster_factor.T @ cluster_factor
+    d = irls_diag(factor, config.irls_epsilon)
+    E = z_view @ (embedding * (indicator.matrix @ cluster_factor))
 
     def matvec(v):
-        return apply_H(v, A, B, C, d, config.gamma)
+        return apply_H(v, z_view, embedding, C, d, config.gamma)
 
     x, stats = _conjugate_gradient(
-        matvec, E.ravel(order="F"), x0, config.cg_tol, max_iters
+        matvec, E.ravel(order="F"), factor.ravel(order="F"), config.cg_tol, max_iters
     )
-    return x.reshape((A.shape[0], weights.rank), order="F"), stats
+    return np.ascontiguousarray(x.reshape(factor.shape, order="F")), stats
 
 
 def update_cluster_weights(
-    z: AugmentedViews,
-    weights: CPWeights,
+    embedding: np.ndarray,
+    cluster_factor: np.ndarray,
     indicator: ClusterIndicator,
     config: FitConfig,
 ) -> np.ndarray:
     """Exactly solve the cluster-factor stationarity equation.
 
-    The equation ``W @ G + gamma * P @ W = T`` (G the embedding Gram matrix,
-    P the diagonal reweighting computed from the current cluster factor with
-    ``config.irls_epsilon``, T the indicator/embedding cross term,
-    ``gamma = config.gamma``) splits
-    into K independent R x R SPD systems because P is diagonal; row k solves
-    ``(G + gamma * p_k I) w = t_k``.  A singular row system (possible only at
-    gamma = 0 with a rank-deficient embedding) gets a diagonal jitter and a
-    warning.  The returned matrix satisfies the equation with Frobenius
-    residual at most ``1e-8 * (1 + ||T||_F)``.
+    ``embedding`` is the product of all view projections (N x R).  The
+    equation ``W @ G + gamma * P @ W = T`` (G the embedding Gram matrix, P the
+    diagonal reweighting computed from the current cluster factor with
+    ``config.irls_epsilon``, T the indicator/embedding cross term, gamma
+    ``config.gamma``) splits into K independent R x R SPD systems because P
+    is diagonal; row k solves ``(G + gamma * p_k I) w = t_k``.  A singular row
+    system (possible only at gamma = 0 with a rank-deficient embedding) gets a
+    diagonal jitter and a warning.  The returned matrix satisfies the equation
+    with Frobenius residual at most ``1e-8 * (1 + ||T||_F)``.
     """
-    emb = compute_embedding(z, weights)
-    gram = emb.T @ emb
-    target = indicator.matrix.T @ emb
-    r = weights.rank
-    shifts = config.gamma * irls_diag(weights.cluster_factor, config.irls_epsilon)
+    r = embedding.shape[1]
+    if cluster_factor.shape != (indicator.n_clusters, r):
+        raise ValueError(f"cluster factor {cluster_factor.shape}, expected K x {r}")
+    gram = embedding.T @ embedding
+    target = indicator.matrix.T @ embedding
+    shifts = config.gamma * irls_diag(cluster_factor, config.irls_epsilon)
     systems = gram[None, :, :] + shifts[:, None, None] * np.eye(r)[None, :, :]
     bound = CLUSTER_SOLVE_TOL * (1.0 + float(np.linalg.norm(target)))
 
@@ -579,11 +583,11 @@ def nearest_orthonormal(matrix) -> np.ndarray:
     return u @ vt
 
 
-def update_indicator(z: AugmentedViews, weights: CPWeights) -> ClusterIndicator:
+def update_indicator(scores: np.ndarray) -> ClusterIndicator:
     """Replace the indicator with the orthonormal matrix nearest to the score
     matrix, the global minimizer of the fit term under the orthonormality
     constraint."""
-    return ClusterIndicator(nearest_orthonormal(predict_scores(z, weights)))
+    return ClusterIndicator(nearest_orthonormal(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -757,25 +761,27 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
     t_start = time.perf_counter()
     z = augment(normalize_views(dataset))
     weights, indicator = init_model(z, config, n_clusters)
+    factors, cluster = list(weights.view_factors), weights.cluster_factor
+    projections = project(z, weights)
     cg_budget = min(config.cg_max_iters, VIEW_CG_STEPS)
 
     def step(indicator, full_solves):
-        nonlocal weights
+        nonlocal cluster
         budget = config.cg_max_iters if full_solves else cg_budget
         cg_stats = []
-        for v in range(z.n_views):
-            factor, stats = update_view_weights(
-                v, z, weights, indicator, config, max_iters=budget
+        for v, zv in enumerate(z.z_views):
+            factors[v], stats = update_view_weights(
+                zv, compute_embedding(projections, exclude=v), factors[v], cluster,
+                indicator, config, max_iters=budget,
             )
-            factors = weights.view_factors
-            weights = CPWeights(
-                (*factors[:v], factor, *factors[v + 1:]), weights.cluster_factor
-            )
+            projections[v] = zv.T @ factors[v]
             cg_stats.append(stats)
-        cluster = update_cluster_weights(z, weights, indicator, config)
-        weights = CPWeights(weights.view_factors, cluster)
-        indicator = update_indicator(z, weights)
-        terms = objective(z, weights, indicator, config.gamma)
+        embedding = compute_embedding(projections)
+        cluster = update_cluster_weights(embedding, cluster, indicator, config)
+        scores = embedding @ cluster.T
+        indicator = update_indicator(scores)
+        weights = CPWeights(tuple(factors), cluster)
+        terms = objective(scores, weights, indicator, config.gamma)
         return indicator, weights, terms, tuple(cg_stats)
 
     return _alternate(step, indicator, n_clusters, config, "cp_multiview", t_start)

@@ -31,6 +31,7 @@ from mmclust.solver import (
     irls_diag,
     nearest_orthonormal,
     predict_scores,
+    project,
     update_cluster_weights,
     update_view_weights,
 )
@@ -129,13 +130,15 @@ def test_criterion_3_subproblem_residuals():
     for _ in range(10):
         z, weights, indicator = random_model(rng, (3, 4), n=9, k=3, rank=3)
         view = int(rng.integers(0, 2))
-        new_factor, stats = update_view_weights(view, z, weights, indicator, config)
+        a = z.z_views[view]
+        b = compute_embedding(project(z, weights), exclude=view)
+        new_factor, stats = update_view_weights(
+            a, b, weights.view_factors[view], weights.cluster_factor, indicator, config
+        )
         # contract: residual met, or the iteration cap honestly reported
         cg_ok &= stats.converged or stats.iterations >= config.cg_max_iters
         if stats.converged:
             # independent recomputation of the linear-system residual
-            a = z.z_views[view]
-            b = compute_embedding(z, weights, exclude=view)
             c = weights.cluster_factor.T @ weights.cluster_factor
             e = a @ (b * (indicator.matrix @ weights.cluster_factor))
             d = irls_diag(weights.view_factors[view], config.irls_epsilon)
@@ -145,8 +148,8 @@ def test_criterion_3_subproblem_residuals():
                 np.linalg.norm(lhs - e.ravel(order="F")) / np.linalg.norm(e),
             )
 
-        new_cf = update_cluster_weights(z, weights, indicator, config)
-        emb = compute_embedding(z, weights)
+        emb = compute_embedding(project(z, weights))
+        new_cf = update_cluster_weights(emb, weights.cluster_factor, indicator, config)
         gram = emb.T @ emb
         rhs = indicator.matrix.T @ emb
         p = irls_diag(weights.cluster_factor, config.irls_epsilon)

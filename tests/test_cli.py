@@ -181,6 +181,14 @@ class TestFitAndEval:
         assert code == 1
         assert "error:" in err and "n_clusters" in err
 
+    @pytest.mark.parametrize("flag,value", [("--cg-tol", "nan"), ("--init-scale", "inf")])
+    def test_non_finite_setting_is_diagnosed(self, small_dataset, capsys, flag, value):
+        code, _, err = run(
+            capsys, "fit", str(small_dataset / "manifest.json"), "--k", "3", flag, value
+        )
+        assert code == 1
+        assert "error:" in err and "finite" in err
+
     def test_missing_manifest_is_diagnosed(self, tmp_path, capsys):
         code, _, err = run(capsys, "fit", str(tmp_path / "nope.json"), "--k", "2")
         assert code == 1

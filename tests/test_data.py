@@ -60,6 +60,25 @@ class TestLoadDataset:
         path = write_dataset(tmp_path, [[[1.0]], [[2.0]]], names=["text", "image"])
         assert load_dataset(path).names == ("text", "image")
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("views", [1, 2], "'views' entry"),
+            ("labels", 5, "'labels'"),
+            ("names", "ab", "'names'"),
+            ("names", ["a", 2], "'names'"),
+        ],
+    )
+    def test_manifest_field_types(self, tmp_path, field, value, message):
+        # a wrong JSON type gets a one-line diagnostic, not a TypeError from
+        # path handling, and a string is not split into per-view names
+        path = write_dataset(tmp_path, [[[1.0, 2.0]], [[3.0, 4.0]]])
+        manifest = json.loads(path.read_text())
+        manifest[field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
     def test_column_count_mismatch(self, tmp_path):
         path = write_dataset(tmp_path, [[[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0, 4.0]]])
         with pytest.raises(DataError, match="column count mismatch"):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mmclust.data import MultiViewDataset, augment
+from mmclust.data import MultiViewDataset, augment, normalize_views
 from mmclust.oracle import dense_H, full_tensor_predict, materialize_cp, random_model
 from mmclust.solver import (
     CPWeights,
@@ -25,6 +25,7 @@ from mmclust.solver import (
     nearest_orthonormal,
     objective,
     predict_scores,
+    project,
     update_cluster_weights,
     update_indicator,
     update_view_weights,
@@ -107,7 +108,7 @@ class TestComputeEmbedding:
         z = random_augmented(rng, (4,), 6)
         factor = np.eye(5)[:, :3]  # pick out the first three augmented features
         w = CPWeights((factor,), np.zeros((2, 3)))
-        emb = compute_embedding(z, w)
+        emb = compute_embedding(project(z, w))
         np.testing.assert_allclose(emb, z.z_views[0][:3].T, atol=1e-15)
 
     def test_zero_factor_annihilates(self):
@@ -117,12 +118,12 @@ class TestComputeEmbedding:
             (rng.standard_normal((4, 2)), np.zeros((3, 2))),
             rng.standard_normal((2, 2)),
         )
-        assert np.all(compute_embedding(z, w) == 0.0)
+        assert np.all(compute_embedding(project(z, w)) == 0.0)
 
     def test_scalar_loop_recomputation(self):
         rng = np.random.default_rng(7)
         z, w, _ = random_model(rng, (2, 3, 2), n=5, k=2, rank=3)
-        emb = compute_embedding(z, w)
+        emb = compute_embedding(project(z, w))
         for i in range(5):
             for r in range(3):
                 expected = 1.0
@@ -134,13 +135,13 @@ class TestComputeEmbedding:
         rng = np.random.default_rng(8)
         z, w, _ = random_model(rng, (3,), n=4, k=2, rank=2)
         np.testing.assert_array_equal(
-            compute_embedding(z, w, exclude=0), np.ones((4, 2))
+            compute_embedding(project(z, w), exclude=0), np.ones((4, 2))
         )
 
     def test_exclude_middle_view_drops_exactly_that_factor(self):
         rng = np.random.default_rng(33)
         z, w, _ = random_model(rng, (2, 3, 2), n=5, k=2, rank=2)
-        partial = compute_embedding(z, w, exclude=1)
+        partial = compute_embedding(project(z, w), exclude=1)
         expected = (z.z_views[0].T @ w.view_factors[0]) * (
             z.z_views[2].T @ w.view_factors[2]
         )
@@ -148,7 +149,7 @@ class TestComputeEmbedding:
         # multiplying the excluded projection back recovers the full embedding
         np.testing.assert_allclose(
             partial * (z.z_views[1].T @ w.view_factors[1]),
-            compute_embedding(z, w),
+            compute_embedding(project(z, w)),
             atol=1e-14,
         )
 
@@ -156,7 +157,16 @@ class TestComputeEmbedding:
         rng = np.random.default_rng(9)
         z, w, _ = random_model(rng, (3, 2), n=4, k=2, rank=2)
         with pytest.raises(ValueError, match="out of range"):
-            compute_embedding(z, w, exclude=2)
+            compute_embedding(project(z, w), exclude=2)
+
+    def test_project_rejects_mismatched_factors(self):
+        rng = np.random.default_rng(34)
+        z, w, _ = random_model(rng, (3, 2), n=4, k=2, rank=2)
+        with pytest.raises(ValueError, match="weights cover 1 views, data has 2"):
+            project(z, CPWeights(w.view_factors[:1], w.cluster_factor))
+        swapped = CPWeights(w.view_factors[::-1], w.cluster_factor)
+        with pytest.raises(ValueError, match="view 0: factor has 3 rows"):
+            project(z, swapped)
 
 
 class TestPredictScores:
@@ -198,21 +208,21 @@ class TestObjective:
         z = random_augmented(rng, (3,), 6)
         w = CPWeights((np.zeros((4, 2)),), np.zeros((3, 2)))
         q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
-        total, fit_term, reg_term = objective(z, w, ClusterIndicator(q), 0.5)
+        total, fit_term, reg_term = objective(predict_scores(z, w), w, ClusterIndicator(q), 0.5)
         assert reg_term == 0.0
         assert total == pytest.approx(3.0, abs=1e-12)
 
     def test_gamma_zero_total_is_fit(self):
         rng = np.random.default_rng(14)
         z, w, f = random_model(rng, (2, 2), n=5, k=2, rank=2)
-        total, fit_term, reg_term = objective(z, w, f, 0.0)
+        total, fit_term, reg_term = objective(predict_scores(z, w), w, f, 0.0)
         assert reg_term == 0.0
         assert total == fit_term
 
     def test_scalar_loop_recomputation(self):
         rng = np.random.default_rng(15)
         z, w, f = random_model(rng, (2, 3), n=4, k=2, rank=2)
-        got = objective(z, w, f, 0.37)
+        got = objective(predict_scores(z, w), w, f, 0.37)
         want = objective_scalar_loops(z, w, f, 0.37)
         for g, e in zip(got, want):
             assert g == pytest.approx(e, abs=1e-10)
@@ -257,6 +267,14 @@ class TestFitConfigValidation:
             {"cg_tol": -1e-8},
             {"irls_epsilon": 0.0},
             {"init_scale": 0.0},
+            {"gamma": float("nan")},
+            {"gamma": float("inf")},
+            {"outer_tol": float("nan")},
+            {"outer_tol": float("inf")},
+            {"cg_tol": float("nan")},
+            {"irls_epsilon": float("inf")},
+            {"init_scale": float("inf")},
+            {"init_scale": float("nan")},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -347,11 +365,11 @@ class TestUpdateViewWeights:
     def test_residual_contract(self):
         for seed in range(5):
             z, w, f, cfg = self._setup(seed)
-            new_w, stats = update_view_weights(0, z, w, f, cfg)
+            A = z.z_views[0]
+            B = compute_embedding(project(z, w), exclude=0)
+            new_w, stats = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
             assert stats.converged or stats.iterations >= cfg.cg_max_iters
             # recompute the residual independently of the CG bookkeeping
-            A = z.z_views[0]
-            B = compute_embedding(z, w, exclude=0)
             C = w.cluster_factor.T @ w.cluster_factor
             E = A @ (B * (f.matrix @ w.cluster_factor))
             d = irls_diag(w.view_factors[0], cfg.irls_epsilon)
@@ -362,10 +380,10 @@ class TestUpdateViewWeights:
     def test_large_gamma_rowwise_shrinkage_limit(self):
         z, w, f, _ = self._setup(3)
         cfg = FitConfig(rank=3, gamma=1e8)
-        new_w, stats = update_view_weights(0, z, w, f, cfg)
-        assert stats.converged
         A = z.z_views[0]
-        B = compute_embedding(z, w, exclude=0)
+        B = compute_embedding(project(z, w), exclude=0)
+        new_w, stats = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
+        assert stats.converged
         E = A @ (B * (f.matrix @ w.cluster_factor))
         d = irls_diag(w.view_factors[0], cfg.irls_epsilon)
         limit = E / (cfg.gamma * d[:, None])
@@ -382,9 +400,9 @@ class TestUpdateViewWeights:
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
         cfg = FitConfig(rank=k, gamma=1.0, cg_tol=1e-12, cg_max_iters=2000)
-        new_w, _ = update_view_weights(0, z, w, f, cfg)
         A = z.z_views[0]
-        B = compute_embedding(z, w, exclude=0)
+        B = compute_embedding(project(z, w), exclude=0)
+        new_w, _ = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
         E = A @ (B * (f.matrix @ w.cluster_factor))
         d = irls_diag(w.view_factors[0], cfg.irls_epsilon)
         H = dense_H(A, B, np.eye(k), d, cfg.gamma)
@@ -393,11 +411,25 @@ class TestUpdateViewWeights:
 
     def test_step_budget(self):
         z, w, f, cfg = self._setup(4)
+        args = (z.z_views[0], compute_embedding(project(z, w), exclude=0),
+                w.view_factors[0], w.cluster_factor, f, cfg)
         for budget in (1, 3):
-            _, stats = update_view_weights(0, z, w, f, cfg, max_iters=budget)
+            _, stats = update_view_weights(*args, max_iters=budget)
             assert stats.iterations == budget and not stats.converged
         with pytest.raises(ValueError, match="max_iters"):
-            update_view_weights(0, z, w, f, cfg, max_iters=0)
+            update_view_weights(*args, max_iters=0)
+
+    def test_embedding_row_mismatch_rejected(self):
+        z, w, f, cfg = self._setup(5)
+        B = compute_embedding(project(z, w), exclude=0)
+        with pytest.raises(ValueError, match="embedding"):
+            update_view_weights(z.z_views[0], B[:-1], w.view_factors[0], w.cluster_factor, f, cfg)
+
+    def test_factor_shape_mismatch_rejected(self):
+        z, w, f, cfg = self._setup(6)
+        B = compute_embedding(project(z, w), exclude=0)
+        with pytest.raises(ValueError, match="factor"):
+            update_view_weights(z.z_views[0], B, w.view_factors[1], w.cluster_factor, f, cfg)
 
     def test_warm_start_beats_zero_start_at_fixed_budget(self):
         # after one outer pass the factor sits near the new system's solution,
@@ -405,13 +437,13 @@ class TestUpdateViewWeights:
         wins = 0
         for seed in range(10):
             z, w, f, cfg = self._setup(seed + 100)
-            solved, _ = update_view_weights(0, z, w, f, cfg)
+            A = z.z_views[0]
+            B = compute_embedding(project(z, w), exclude=0)
+            solved, _ = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
             factors = list(w.view_factors)
             factors[0] = solved
             w2 = CPWeights(tuple(factors), w.cluster_factor)
             d2 = irls_diag(w2.view_factors[0], cfg.irls_epsilon)
-            A = z.z_views[0]
-            B = compute_embedding(z, w2, exclude=0)
             C = w2.cluster_factor.T @ w2.cluster_factor
             E = A @ (B * (f.matrix @ w2.cluster_factor))
             b = E.ravel(order="F")
@@ -441,8 +473,8 @@ class TestUpdateClusterWeights:
         w = CPWeights((factor,), rng.standard_normal((k, rank)))
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
-        new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=0.0))
-        emb = compute_embedding(z, w)
+        emb = compute_embedding(project(z, w))
+        new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=0.0))
         np.testing.assert_allclose(new_cf, f.matrix.T @ emb, atol=1e-8)
 
     def test_zero_indicator_gives_zero(self):
@@ -450,7 +482,8 @@ class TestUpdateClusterWeights:
         z, w, f = random_model(rng, (3, 2), n=6, k=2, rank=2)
         zero_f = ClusterIndicator.__new__(ClusterIndicator)
         object.__setattr__(zero_f, "matrix", np.zeros((6, 2)))
-        new_cf = update_cluster_weights(z, w, zero_f, FitConfig(gamma=0.3))
+        emb = compute_embedding(project(z, w))
+        new_cf = update_cluster_weights(emb, w.cluster_factor, zero_f, FitConfig(gamma=0.3))
         np.testing.assert_allclose(new_cf, 0.0, atol=1e-12)
 
     def test_equation_residual(self):
@@ -458,8 +491,8 @@ class TestUpdateClusterWeights:
         for seed in range(10):
             z, w, f = random_model(rng, (3, 4), n=8, k=3, rank=3)
             gamma = 0.05
-            new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=gamma))
-            emb = compute_embedding(z, w)
+            emb = compute_embedding(project(z, w))
+            new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=gamma))
             gram = emb.T @ emb
             p = irls_diag(w.cluster_factor, 1e-12)
             lhs = new_cf @ gram + gamma * p[:, None] * new_cf
@@ -475,8 +508,9 @@ class TestUpdateClusterWeights:
         w = CPWeights((np.zeros((4, 3)),), rng.standard_normal((k, 3)))
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
+        emb = compute_embedding(project(z, w))
         with pytest.warns(RuntimeWarning, match="jitter"):
-            new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=0.0))
+            new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=0.0))
         np.testing.assert_allclose(new_cf, 0.0, atol=1e-12)
 
     def test_rank_deficient_gamma_zero_meets_contract(self):
@@ -490,8 +524,8 @@ class TestUpdateClusterWeights:
         w = CPWeights((factor,), rng.standard_normal((k, 3)))
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
-        new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=0.0))
-        emb = compute_embedding(z, w)
+        emb = compute_embedding(project(z, w))
+        new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=0.0))
         gram = emb.T @ emb
         rhs = f.matrix.T @ emb
         assert np.linalg.norm(new_cf @ gram - rhs) < 1e-8 * (1 + np.linalg.norm(rhs))
@@ -501,8 +535,8 @@ class TestUpdateClusterWeights:
         rng = np.random.default_rng(25)
         z, w, f = random_model(rng, (3, 2), n=7, k=3, rank=2)
         gamma = 0.05
-        new_cf = update_cluster_weights(z, w, f, FitConfig(gamma=gamma))
-        emb = compute_embedding(z, w)
+        emb = compute_embedding(project(z, w))
+        new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=gamma))
         p = irls_diag(w.cluster_factor, 1e-12)
 
         def surrogate(cf):
@@ -516,6 +550,15 @@ class TestUpdateClusterWeights:
             direction = rng.standard_normal(new_cf.shape)
             direction /= np.linalg.norm(direction)
             assert surrogate(new_cf + 1e-3 * direction) >= base - 1e-12
+
+    def test_cluster_factor_shape_mismatch_rejected(self):
+        # the solve reads the cluster factor only through its row norms, so a
+        # wrong column count would otherwise pass unnoticed
+        rng = np.random.default_rng(35)
+        z, w, f = random_model(rng, (3, 2), n=7, k=3, rank=2)
+        emb = compute_embedding(project(z, w))
+        with pytest.raises(ValueError, match="cluster factor"):
+            update_cluster_weights(emb, np.ones((3, 3)), f, FitConfig(gamma=0.05))
 
 
 class TestUpdateIndicator:
@@ -544,7 +587,7 @@ class TestUpdateIndicator:
     def test_update_produces_orthonormal_indicator(self):
         rng = np.random.default_rng(29)
         z, w, _ = random_model(rng, (3, 2), n=8, k=3, rank=2)
-        f = update_indicator(z, w)
+        f = update_indicator(predict_scores(z, w))
         err = np.max(np.abs(f.matrix.T @ f.matrix - np.eye(3)))
         assert err < 1e-8
 
@@ -631,6 +674,20 @@ class TestFit:
         for line, rec in zip(lines, report.trace):
             assert f"cg_steps={sum(s.iterations for s in rec.cg)} " in line
             assert f"cg_worst_residual={max(s.residual for s in rec.cg):.3e}" in line
+
+    def test_final_record_matches_recomputed_state(self):
+        # the kept per-view projections must track the factors: recomputing
+        # the scores from the final weights reproduces the last trace record
+        # and the indicator bit for bit
+        for seed in range(4):
+            ds = self._dataset(seed + 20, dims=(5, 4, 3))
+            cfg = FitConfig(rank=3, max_outer_iters=6, seed=seed)
+            report = fit(ds, 3, cfg)
+            scores = predict_scores(augment(normalize_views(ds)), report.weights)
+            total, fit_term, _ = objective(scores, report.weights, report.indicator, cfg.gamma)
+            assert report.trace[-1].objective == total
+            assert report.trace[-1].fit_term == fit_term
+            np.testing.assert_array_equal(update_indicator(scores).matrix, report.indicator.matrix)
 
     def test_trace_bytes_identical_across_runs(self):
         ds = self._dataset(3)
