@@ -5,8 +5,11 @@ The reference paths materialize objects the solver deliberately avoids
 forming: the full weight tensor, the dense system matrix of the view-factor
 update, and explicit outer products.  They recompute the clustering metrics
 by brute force: exhaustive permutation search for accuracy and a scalar
-contingency-table loop for NMI.  They share no code with the solver or metrics
-modules, so agreement between the two is evidence, not tautology.
+contingency-table loop for NMI.  K-means is rerun with every distance formed
+as an explicit broadcast and every center as a masked mean.  Apart from the
+K-means seeding, which fixes the random draws, they share no code with the
+solver or metrics modules, so agreement between the two is evidence, not
+tautology.
 ``run_checks`` is the one place where the two meet; the ``oracle-check``
 command prints its verdicts and the tests reuse its references and fixtures.
 Sizes are capped to keep runs at desk scale.
@@ -35,6 +38,7 @@ __all__ = [
     "exhaustive_accuracy",
     "nmi_from_contingency",
     "set_partitions",
+    "broadcast_lloyd_kmeans",
     "run_checks",
 ]
 
@@ -230,6 +234,39 @@ def set_partitions(n: int) -> list[tuple[int, ...]]:
     return results
 
 
+def broadcast_lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
+                           max_iters: int = 300):
+    """Reference for ``solver.lloyd_kmeans``: the same seeding, reseed rule and
+    restart choice, with the N x K x D distance broadcast and one masked mean
+    per cluster.  Returns the best restart's labels and inertia, and the
+    number of empty-cluster reseeds over all restarts."""
+    points = np.asarray(points, dtype=np.float64)
+    n, k = points.shape[0], n_clusters
+    rng = np.random.default_rng(seed)
+    best, reseeds = None, 0
+    for _ in range(n_restarts):
+        centers = solver._plus_plus_centers(points, k, rng)
+        labels = np.full(n, -1, dtype=np.int64)
+        for _ in range(max_iters):
+            d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+            new_labels = d2.argmin(axis=1)
+            for j in range(k):
+                if not np.any(new_labels == j):
+                    # the worst-assigned point of a cluster that keeps another
+                    sizes = np.bincount(new_labels, minlength=k)
+                    assigned = np.where(sizes[new_labels] > 1, d2[np.arange(n), new_labels], -1.0)
+                    new_labels[int(np.argmax(assigned))] = j
+                    reseeds += 1
+            centers = np.array([points[new_labels == j].mean(axis=0) for j in range(k)])
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        inertia = float(np.sum((points - centers[labels]) ** 2))
+        if best is None or inertia < best[1]:
+            best = (labels, inertia)
+    return best[0], best[1], reseeds
+
+
 def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Compare every fast path with its reference on random draws from
     ``seed``; returns one (name, ok, detail) tuple per check, in a fixed order.
@@ -411,5 +448,34 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         )
         worst = max(worst, abs(fast - nmi_from_contingency(t, p)))
     record("nmi-vs-contingency", worst < 1e-12, f"max |delta| {worst:.3e} over 100 draws")
+
+    # K-means in GEMM form against the broadcast reference: random points,
+    # duplicated rows, and more clusters than distinct rows, which empties a
+    # cluster and takes the reseed branch
+    ok, worst, reseeds = True, 0.0, 0
+    dup = rng.standard_normal((15, 3))
+    grid = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
+    for points, k, km_seed in (
+        (rng.standard_normal((60, 3)), 5, int(rng.integers(2**31))),
+        (dup[rng.permutation(np.arange(45) % 15)], 4, int(rng.integers(2**31))),
+        (np.repeat(grid, 4, axis=0), 5, 0),
+    ):
+        labels = solver.lloyd_kmeans(points, k, n_restarts=3, seed=km_seed)
+        ref_labels, ref_inertia, n_reseeds = broadcast_lloyd_kmeans(
+            points, k, n_restarts=3, seed=km_seed
+        )
+        reseeds += n_reseeds
+        inertia = sum(
+            float(np.sum((points[labels == j] - points[labels == j].mean(axis=0)) ** 2))
+            for j in np.unique(labels)
+        )
+        ok = ok and np.array_equal(labels, ref_labels)
+        worst = max(worst, abs(inertia - ref_inertia) / max(abs(ref_inertia), 1e-300))
+    record(
+        "kmeans-vs-broadcast-lloyd",
+        ok and worst < 1e-12 and reseeds > 0,
+        f"labels {'equal' if ok else 'differ'}, max rel inertia delta {worst:.3e}, "
+        f"{reseeds} reseeds over 3 inputs",
+    )
 
     return results

@@ -283,8 +283,9 @@ class FitReport:
             out["total_time_sec"] = float(self.total_time_sec)
         return out
 
-    def to_json(self, include_timing: bool = True, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=indent, sort_keys=True)
+    def to_json(self, include_timing: bool = True) -> str:
+        """Compact JSON with sorted keys."""
+        return json.dumps(self.to_dict(include_timing), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -614,19 +615,29 @@ def _plus_plus_centers(points, k, rng):
 def _lloyd_once(points, k, rng, max_iters):
     n = points.shape[0]
     centers = _plus_plus_centers(points, k, rng)
+    point_sq = np.einsum("ij,ij->i", points, points)
     labels = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = d2.argmin(axis=1).astype(np.int64)
-        for j in range(k):
-            mask = new_labels == j
-            if mask.any():
-                centers[j] = points[mask].mean(axis=0)
-            else:
-                # reseed an empty cluster at the worst-assigned point
-                worst = int(np.argmax(d2[np.arange(n), new_labels]))
-                centers[j] = points[worst]
-                new_labels[worst] = j
+        # squared distances in GEMM form, |x|^2 - 2 x.c + |c|^2, built in place
+        d2 = points @ centers.T
+        d2 *= -2.0
+        d2 += point_sq[:, None]
+        d2 += np.einsum("ij,ij->i", centers, centers)
+        new_labels = d2.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            # reseed an empty cluster, in cluster order, at the worst-assigned
+            # point of a cluster that keeps another point
+            assigned = np.sum((points - centers[new_labels]) ** 2, axis=1)
+            assigned[counts[new_labels] < 2] = -1.0
+            worst = int(np.argmax(assigned))
+            counts[new_labels[worst]] -= 1
+            counts[j] = 1
+            new_labels[worst] = j
+        # cluster means: the members of each cluster summed in index order
+        order = np.argsort(new_labels, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        centers = np.add.reduceat(points[order], starts, axis=0) / counts[:, None]
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -637,12 +648,18 @@ def _lloyd_once(points, k, rng, max_iters):
 def lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
                  max_iters: int = 300) -> np.ndarray:
     """Best-of-``n_restarts`` Lloyd iterations with distance-weighted seeding,
-    deterministic for a fixed seed."""
+    deterministic for a fixed seed and BLAS thread count."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or not 1 <= n_clusters <= pts.shape[0]:
         raise ValueError(
             f"need a 2-d point array with at least {n_clusters} rows, got {pts.shape}"
         )
+    if n_restarts < 1 or max_iters < 1:
+        raise ValueError(
+            f"n_restarts and max_iters must be at least 1, got {n_restarts} and {max_iters}"
+        )
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(n_restarts):

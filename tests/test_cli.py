@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from mmclust import cli
 from mmclust.cli import cli_main
+from mmclust.metrics import Partition, accuracy
 
 
 def run(capsys, *argv):
@@ -218,6 +220,41 @@ class TestBaseline:
         assert report["model"] == "concat_regression"
 
 
+class TestReportFile:
+    @pytest.mark.parametrize("command,producer", [
+        ("fit", "fit"), ("baseline", "baseline_regression_cluster"),
+    ])
+    def test_report_parses_to_its_dict_and_evaluates(
+        self, small_dataset, tmp_path, capsys, monkeypatch, command, producer
+    ):
+        reports = []
+        inner = getattr(cli, producer)
+
+        def capture(*args, **kwargs):
+            reports.append(inner(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, producer, capture)
+        report_path = tmp_path / "report.json"
+        code, _, err = run(
+            capsys,
+            command, str(small_dataset / "manifest.json"),
+            "--k", "3", "--max-iters", "5", "--out", str(report_path),
+        )
+        assert code == 0, err
+        text = report_path.read_text()
+        assert json.loads(text) == reports[0].to_dict()
+        assert text.count("\n") == 1  # compact: one line plus the trailing newline
+
+        labels_path = small_dataset / "labels.csv"
+        code, stdout, _ = run(capsys, "eval", str(report_path), str(labels_path))
+        assert code == 0
+        printed = dict(line.split() for line in stdout.strip().splitlines())
+        truth = Partition.from_labels(np.loadtxt(labels_path, dtype=np.int64))
+        expected = accuracy(truth, Partition.from_labels(reports[0].labels, k=3))
+        assert printed["ACC"] == f"{expected:.6f}"
+
+
 class TestSweep:
     def test_sweep_defaults_to_standard_grid(self, small_dataset, capsys):
         code, stdout, err = run(
@@ -274,6 +311,6 @@ class TestOracleCheckCommand:
         code, stdout, _ = run(capsys, "oracle-check", "--seed", "3")
         assert code == 0
         lines = stdout.splitlines()
-        assert len(lines) == 11
+        assert len(lines) == 12
         assert all(line.startswith("PASS ") for line in lines[:-1])
-        assert lines[-1] == "all 10 checks passed"
+        assert lines[-1] == "all 11 checks passed"

@@ -182,6 +182,7 @@ CHECK_NAMES = [
     "indicator-procrustes-optimality",
     "matching-vs-exhaustive",
     "nmi-vs-contingency",
+    "kmeans-vs-broadcast-lloyd",
 ]
 
 
@@ -203,9 +204,18 @@ class TestRunChecks:
         assert [name for name, _, _ in results] == CHECK_NAMES
         assert [name for name, ok, _ in results if not ok] == ["operator-vs-dense-system"]
 
+    def test_broken_kmeans_fails_only_its_check(self, monkeypatch):
+        # the same partition under other cluster ids still differs label by label
+        exact = solver.lloyd_kmeans
+        monkeypatch.setattr(
+            solver, "lloyd_kmeans", lambda points, k, **kw: k - 1 - exact(points, k, **kw)
+        )
+        results = run_checks(seed=0)
+        assert [name for name, ok, _ in results if not ok] == ["kmeans-vs-broadcast-lloyd"]
+
     def test_failed_check_fails_the_command(self, broken_operator, capsys):
         assert cli_main(["oracle-check"]) == 1
         captured = capsys.readouterr()
         assert "FAIL operator-vs-dense-system (" in captured.out
-        assert captured.out.count("PASS ") == 9
-        assert captured.err.strip() == "1 of 10 checks failed"
+        assert captured.out.count("PASS ") == 10
+        assert captured.err.strip() == "1 of 11 checks failed"

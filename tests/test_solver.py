@@ -630,6 +630,21 @@ class TestExtractLabels:
             chunk = labels[20 * block : 20 * (block + 1)]
             assert len(set(chunk.tolist())) == 1
 
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(ValueError, match="n_restarts"):
+            lloyd_kmeans(np.eye(4), 3, n_restarts=0)
+
+    def test_zero_iterations_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            lloyd_kmeans(np.eye(4), 3, max_iters=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.eye(4)
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lloyd_kmeans(pts, 3)
+
 
 class TestFit:
     def _dataset(self, seed, n=40, dims=(5, 4), k=3):
