@@ -6,10 +6,12 @@ forming: the full weight tensor, the dense system matrix of the view-factor
 update, and explicit outer products.  They recompute the clustering metrics
 by brute force: exhaustive permutation search for accuracy and a scalar
 contingency-table loop for NMI.  K-means is rerun with every distance formed
-as an explicit broadcast and every center as a masked mean.  Apart from the
-K-means seeding, which fixes the random draws, they share no code with the
-solver or metrics modules, so agreement between the two is evidence, not
-tautology.
+as an explicit broadcast and every center as a masked mean.  The
+concatenated-view baseline is checked against its closed form from an
+independent SVD and against a plain ridge alternation from random starts.
+Apart from the K-means seeding, which fixes the random draws, they share no
+code with the solver, synth or metrics modules, so agreement between the two
+is evidence, not tautology.
 ``run_checks`` is the one place where the two meet; the ``oracle-check``
 command prints its verdicts and the tests reuse its references and fixtures.
 Sizes are capped to keep runs at desk scale.
@@ -24,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import metrics, solver
+from . import metrics, solver, synth
 from .data import MultiViewDataset, augment
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "nmi_from_contingency",
     "set_partitions",
     "broadcast_lloyd_kmeans",
+    "ridge_alternation",
     "run_checks",
 ]
 
@@ -267,6 +270,21 @@ def broadcast_lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: 
     return best[0], best[1], reseeds
 
 
+def ridge_alternation(design, gamma: float, start) -> float:
+    """Reference for the baseline's alternation: from ``start``, 20 times solve
+    the ridge normal equations for the weight, then take the polar factor of
+    the scores by SVD as the next indicator.  Returns the final objective
+    ``||X W - Y||^2 + gamma ||W||^2``."""
+    gram = design.T @ design + gamma * np.eye(design.shape[1])
+    indicator = np.asarray(start, dtype=np.float64)
+    for _ in range(20):
+        w = np.linalg.solve(gram, design.T @ indicator)
+        scores = design @ w
+        u, _, vt = np.linalg.svd(scores, full_matrices=False)
+        indicator = u @ vt
+    return float(np.sum((scores - indicator) ** 2)) + gamma * float(np.sum(w * w))
+
+
 def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Compare every fast path with its reference on random draws from
     ``seed``; returns one (name, ok, detail) tuple per check, in a fixed order.
@@ -476,6 +494,43 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         ok and worst < 1e-12 and reseeds > 0,
         f"labels {'equal' if ok else 'differ'}, max rel inertia delta {worst:.3e}, "
         f"{reseeds} reseeds over 3 inputs",
+    )
+
+    # the baseline ends at its closed-form optimum: the indicator spans the top
+    # left singular subspace of the design and the objective is
+    # sum_j gamma / (s_j^2 + gamma) over the K largest singular values.  Each
+    # view is built with unit norm, so normalization leaves it unchanged, and
+    # its columns are orthogonal to the constant feature, so the squared
+    # singular values are n and the six listed ones, at least 0.05 apart.
+    worst_angle, worst_objective, lowest_reference = 0.0, 0.0, np.inf
+    for _ in range(3):
+        n = int(rng.integers(30, 61))
+        k = int(rng.integers(1, 5))
+        gamma = float(10.0 ** rng.uniform(-3.0, 0.0))
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, 6))]))
+        views = []
+        for v, squared in enumerate(((0.6, 0.3, 0.1), (0.5, 0.35, 0.15))):
+            rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            views.append(rotation @ (q[:, 1 + 3 * v:4 + 3 * v] * np.sqrt(squared)).T)
+        config = solver.FitConfig(rank=k, gamma=gamma, seed=int(rng.integers(2**31)))
+        report = synth.baseline_regression_cluster(MultiViewDataset(tuple(views)), k, config)
+        design = np.column_stack([*(v.T / np.linalg.norm(v) for v in views), np.ones(n)])
+        u, s, _ = np.linalg.svd(design, full_matrices=False)
+        y = report.indicator.matrix
+        # sine of the largest principal angle between span(y) and the top-k basis
+        worst_angle = max(worst_angle, float(np.linalg.norm(y - u[:, :k] @ (u[:, :k].T @ y), 2)))
+        closed = float(np.sum(gamma / (s[:k] ** 2 + gamma)))
+        worst_objective = max(worst_objective, abs(report.trace[-1].objective - closed) / closed)
+        for _ in range(3):
+            start, _ = np.linalg.qr(rng.standard_normal((n, k)))
+            lowest_reference = min(
+                lowest_reference, (ridge_alternation(design, gamma, start) - closed) / closed
+            )
+    record(
+        "baseline-vs-closed-form",
+        worst_angle < 1e-8 and worst_objective < 1e-10 and lowest_reference > -1e-12,
+        f"max angle sine {worst_angle:.3e}, max rel objective delta {worst_objective:.3e}, "
+        f"min rel reference excess {lowest_reference:.3e} over 3 draws",
     )
 
     return results

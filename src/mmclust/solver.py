@@ -660,6 +660,15 @@ def lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
         )
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
+    # every squared distance, and their sum over the points, is at most
+    # 4 * n * d * peak^2, where peak is the largest entry magnitude
+    peak = float(np.max(np.abs(pts)))
+    limit = float(np.sqrt(np.finfo(float).max / (4.0 * pts.size)))
+    if peak > limit:
+        raise ValueError(
+            f"points too large for K-means: entries up to {peak:.3e} exceed "
+            f"{limit:.3e}, where squared distances would overflow"
+        )
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(n_restarts):
@@ -718,7 +727,11 @@ def _alternate(step, indicator, n_clusters, config, model, t_start) -> FitReport
             max((s.residual for s in cg_stats), default=0.0),
         )
         if prev_total is not None:
-            stalled = abs(prev_total - total) / max(prev_total, 1e-30) < config.outer_tol
+            # the fit term compares scores with an indicator of squared norm
+            # n_clusters, so its rounding error is about n_clusters * eps; a
+            # floor there lets an exactly attained zero optimum count as a stall
+            scale = max(prev_total, n_clusters * np.finfo(float).eps)
+            stalled = abs(prev_total - total) / scale < config.outer_tol
             # a small change after budget-truncated view updates may only mean
             # that a few CG steps made little progress, so the stop waits for
             # an iteration whose view solves all ran to cg_tol or cg_max_iters

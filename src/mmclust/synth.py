@@ -7,7 +7,10 @@ from each of two views, invisible to any per-view or concatenated linear model.
 
 The baseline fits the regression-clustering model on concatenated views (bias
 absorbed), alternating a ridge least-squares weight solve with the
-nearest-orthonormal indicator update inside the fit's shared outer loop.
+nearest-orthonormal indicator update inside the fit's shared outer loop.  It
+starts at its closed-form optimum, the top left singular basis of the design
+(DIFFRAC with a linear kernel, Bach & Harchaoui 2007), so the loop only
+confirms it.
 """
 
 from __future__ import annotations
@@ -152,20 +155,47 @@ def generate_interaction(
     return MultiViewDataset(tuple(views), labels=labels)
 
 
+def _closed_form_start(design, ridge, gamma, n_clusters, seed):
+    """Orthonormal ``n x n_clusters`` indicator spanning the top left singular
+    vectors of ``design``, taken from the eigenvectors of the small ridge
+    matrix ``design.T @ design + gamma * I`` rather than a thin SVD.
+
+    Columns beyond the rank of the design (squared singular values at
+    rounding level) are a Gaussian draw from ``seed`` projected off its range,
+    so the leading columns stay the top singular subspace.
+    """
+    eigvals, eigvecs = np.linalg.eigh(ridge)
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    squared = eigvals - gamma
+    rank = int(np.count_nonzero(squared > eigvals[0] * max(design.shape) * np.finfo(float).eps))
+    k = min(rank, n_clusters)
+    start = np.empty((design.shape[0], n_clusters))
+    start[:, :k] = design @ eigvecs[:, :k]
+    if k < n_clusters:
+        basis = start[:, :k] / np.sqrt(squared[:k])
+        pad = np.random.default_rng(seed).standard_normal((design.shape[0], n_clusters - k))
+        start[:, k:] = pad - basis @ (basis.T @ pad)
+    return nearest_orthonormal(start)
+
+
 def baseline_regression_cluster(
     dataset: MultiViewDataset, n_clusters: int, config: FitConfig
 ) -> FitReport:
     """Regression clustering on concatenated views: no cross-view interactions.
 
-    Alternates the ridge least-squares solve of the weight matrix against the
-    current indicator with the nearest-orthonormal indicator update.
-    ``config.gamma`` is the ridge weight: without it any orthonormal indicator
-    inside the design column space is interpolated exactly at the first
-    iteration and the alternation carries no clustering pressure, whereas the
-    ridge filter concentrates the indicator on the leading data directions.
+    For a fixed indicator Y the ridge weight is ``(X'X + gamma I)^-1 X'Y``, and
+    the objective at that weight is ``tr(Y'(I - X(X'X + gamma I)^-1 X')Y)``,
+    minimized over orthonormal Y by the top-K left singular vectors of the
+    design X: ``sum_j gamma / (s_j^2 + gamma)`` over the K largest singular
+    values, plus one per column beyond the rank of X.  The fit starts there,
+    which is a fixed point of the alternation, so the loop stops at its second
+    iteration.  The start does not depend on ``config.gamma``; at
+    ``gamma = 0`` (minimum-norm least squares) it is the ``gamma -> 0+`` limit.
+    ``config.seed`` drives the K-means rounding and, when K exceeds the rank
+    of X, the columns past that rank.
     The iterations run in the fit's own outer loop (``solver._alternate``), so
-    the trace, convergence rule, seeding and label extraction are shared, not
-    copied, and the two models are directly comparable.
+    the trace, convergence rule and label extraction are shared, not copied,
+    and the two models are directly comparable.
     """
     t_start = time.perf_counter()
     normalized = normalize_views(dataset)
@@ -191,8 +221,7 @@ def baseline_regression_cluster(
         terms = (fit_term + reg_term, fit_term, reg_term)
         return indicator, CPWeights((w,), identity), terms, ()
 
-    rng = np.random.default_rng(config.seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n_clusters)))
+    start = _closed_form_start(design, ridge, config.gamma, n_clusters, config.seed)
     return _alternate(
-        step, ClusterIndicator(q), n_clusters, config, "concat_regression", t_start
+        step, ClusterIndicator(start), n_clusters, config, "concat_regression", t_start
     )

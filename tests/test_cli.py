@@ -219,6 +219,15 @@ class TestBaseline:
         report = json.loads(report_path.read_text())
         assert report["model"] == "concat_regression"
 
+    def test_baseline_stops_at_its_second_iteration(self, small_dataset, capsys):
+        # the closed-form start is a fixed point, so the second iteration
+        # confirms it
+        code, stdout, _ = run(
+            capsys, "baseline", str(small_dataset / "manifest.json"), "--k", "3",
+        )
+        assert code == 0
+        assert "converged=True iterations=2 " in stdout.splitlines()[0]
+
 
 class TestReportFile:
     @pytest.mark.parametrize("command,producer", [
@@ -311,6 +320,6 @@ class TestOracleCheckCommand:
         code, stdout, _ = run(capsys, "oracle-check", "--seed", "3")
         assert code == 0
         lines = stdout.splitlines()
-        assert len(lines) == 12
+        assert len(lines) == 13
         assert all(line.startswith("PASS ") for line in lines[:-1])
-        assert lines[-1] == "all 11 checks passed"
+        assert lines[-1] == "all 12 checks passed"

@@ -4,7 +4,7 @@ runner that compares them with the fast paths."""
 import numpy as np
 import pytest
 
-from mmclust import solver
+from mmclust import solver, synth
 from mmclust.cli import cli_main
 from mmclust.oracle import (
     DenseTensor,
@@ -183,6 +183,7 @@ CHECK_NAMES = [
     "matching-vs-exhaustive",
     "nmi-vs-contingency",
     "kmeans-vs-broadcast-lloyd",
+    "baseline-vs-closed-form",
 ]
 
 
@@ -213,9 +214,20 @@ class TestRunChecks:
         results = run_checks(seed=0)
         assert [name for name, ok, _ in results if not ok] == ["kmeans-vs-broadcast-lloyd"]
 
+    def test_baseline_off_its_optimum_fails_only_its_check(self, monkeypatch):
+        # the former random start: the alternation stalls before it reaches
+        # the top singular subspace
+        def random_start(design, ridge, gamma, n_clusters, seed):
+            rng = np.random.default_rng(seed)
+            return np.linalg.qr(rng.standard_normal((design.shape[0], n_clusters)))[0]
+
+        monkeypatch.setattr(synth, "_closed_form_start", random_start)
+        results = run_checks(seed=0)
+        assert [name for name, ok, _ in results if not ok] == ["baseline-vs-closed-form"]
+
     def test_failed_check_fails_the_command(self, broken_operator, capsys):
         assert cli_main(["oracle-check"]) == 1
         captured = capsys.readouterr()
         assert "FAIL operator-vs-dense-system (" in captured.out
-        assert captured.out.count("PASS ") == 10
-        assert captured.err.strip() == "1 of 11 checks failed"
+        assert captured.out.count("PASS ") == 11
+        assert captured.err.strip() == "1 of 12 checks failed"

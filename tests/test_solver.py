@@ -645,6 +645,17 @@ class TestExtractLabels:
         with pytest.raises(ValueError, match="finite"):
             lloyd_kmeans(pts, 3)
 
+    def test_overflowing_points_rejected(self):
+        # finite entries whose squared distances overflow used to fail inside
+        # the seeding draw with "Probabilities contain NaN"
+        with pytest.raises(ValueError, match="squared distances would overflow"):
+            lloyd_kmeans([[1e200], [-1e200], [0.0], [5.0]], 2)
+
+    def test_large_in_range_points_cluster(self):
+        pts = np.array([[1e150], [1.1e150], [-1e150], [-1.1e150]])
+        labels = lloyd_kmeans(pts, 2, n_restarts=3)
+        assert labels[0] == labels[1] != labels[2] == labels[3]
+
 
 class TestFit:
     def _dataset(self, seed, n=40, dims=(5, 4), k=3):

@@ -9,6 +9,7 @@ from mmclust.metrics import Partition, accuracy
 from mmclust.solver import FitConfig, lloyd_kmeans
 from mmclust.synth import (
     SynthSpec,
+    _closed_form_start,
     baseline_regression_cluster,
     generate,
     generate_interaction,
@@ -213,3 +214,65 @@ class TestBaselineRegressionCluster:
         report = baseline_regression_cluster(ds, 3, FitConfig(rank=3, max_outer_iters=10))
         f = report.indicator.matrix
         assert np.max(np.abs(f.T @ f - np.eye(3))) < 1e-8
+
+    @staticmethod
+    def _singular_values(ds):
+        # the baseline's design rebuilt independently: unit-norm views and the
+        # constant feature as columns
+        design = np.column_stack(
+            [*(v.T / np.linalg.norm(v) for v in ds.views), np.ones(ds.n_instances)]
+        )
+        return np.linalg.svd(design, compute_uv=False)
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 10.0])
+    def test_stops_at_closed_form_optimum(self, gamma):
+        ds = self._separated(4)
+        report = baseline_regression_cluster(ds, 3, FitConfig(rank=3, gamma=gamma))
+        assert report.converged and report.n_iterations == 2
+        s = self._singular_values(ds)
+        closed = np.sum(gamma / (s[:3] ** 2 + gamma))
+        assert report.trace[-1].objective == pytest.approx(closed, rel=1e-10)
+
+    def test_zero_gamma_stops_at_second_iteration(self):
+        # the exact optimum has objective zero up to rounding, which the stop
+        # rule must still recognize as a stall
+        ds = generate(
+            SynthSpec(n_instances=300, n_views=3, n_clusters=3, dims=(10, 10, 10), seed=5)
+        )
+        report = baseline_regression_cluster(ds, 3, FitConfig(rank=3, gamma=0.0))
+        assert report.converged and report.n_iterations == 2
+        assert report.trace[-1].objective < 1e-20
+
+    def test_indicator_independent_of_seed(self):
+        ds = self._separated(5)
+        first, second = (
+            baseline_regression_cluster(ds, 3, FitConfig(rank=3, seed=seed)).indicator.matrix
+            for seed in (0, 9)
+        )
+        assert np.array_equal(first, second)
+
+    def test_more_clusters_than_design_columns(self):
+        # two 1-d views and the constant feature give a rank-3 design, so two
+        # indicator columns come from the seed and each adds 1 to the objective
+        ds = generate_interaction(80, seed=6)
+        config = FitConfig(rank=5, gamma=0.01, seed=2)
+        report = baseline_regression_cluster(ds, 5, config)
+        f = report.indicator.matrix
+        assert np.max(np.abs(f.T @ f - np.eye(5))) < 1e-8
+        again = baseline_regression_cluster(ds, 5, config)
+        assert np.array_equal(f, again.indicator.matrix)
+        s = self._singular_values(ds)
+        closed = np.sum(0.01 / (s ** 2 + 0.01)) + (5 - s.size)
+        assert report.converged and report.n_iterations == 2
+        assert report.trace[-1].objective == pytest.approx(closed, rel=1e-10)
+
+    def test_padded_start_keeps_the_singular_basis(self):
+        # the seeded columns past the rank are orthogonal to the design's
+        # range, so the start is itself the optimum
+        rng = np.random.default_rng(7)
+        design = np.column_stack([rng.standard_normal((50, 2)), np.ones(50)])
+        start = _closed_form_start(design, design.T @ design + 0.1 * np.eye(3), 0.1, 5, seed=3)
+        u, _, _ = np.linalg.svd(design, full_matrices=False)
+        np.testing.assert_allclose(np.abs(u.T @ start[:, :3]), np.eye(3), atol=1e-10)
+        assert np.max(np.abs(u.T @ start[:, 3:])) < 1e-10
+        assert np.max(np.abs(start.T @ start - np.eye(5))) < 1e-10
