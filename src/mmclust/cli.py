@@ -113,7 +113,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.manifest)
-    config = _fit_config_from(args, rank=args.k)
+    config = FitConfig(rank=args.k, gamma=args.gamma, seed=args.seed)
     return _print_and_write(baseline_regression_cluster(dataset, args.k, config), args.out)
 
 
@@ -184,18 +184,22 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_model_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--gamma", type=float, default=0.01, help="regularization weight")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--out", type=str, default=None, help="write the JSON report here")
+
+
 def _add_fit_options(p: argparse.ArgumentParser, with_rank: bool = True) -> None:
     if with_rank:
         p.add_argument("--rank", type=int, default=10, help="number of factor components")
-    p.add_argument("--gamma", type=float, default=0.01, help="row-sparsity regularization weight")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    _add_model_options(p)
     p.add_argument("--tol", type=float, default=1e-6, help="relative objective-change stop threshold")
     p.add_argument("--max-iters", type=int, default=100, help="outer iteration cap")
     p.add_argument("--cg-tol", type=float, default=1e-8, help="CG relative residual tolerance")
     p.add_argument("--cg-max-iters", type=int, default=500, help="CG iteration cap")
     p.add_argument("--irls-epsilon", type=float, default=1e-12, help="row-norm guard in the reweighting")
     p.add_argument("--init-scale", type=float, default=0.1, help="uniform factor initialization scale")
-    p.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -225,8 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="fit the concatenated linear-regression baseline")
     p.add_argument("manifest", type=str, help="dataset manifest (JSON)")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    _add_fit_options(p, with_rank=False)
-    p.set_defaults(handler=_cmd_baseline, rank=None)
+    _add_model_options(p)
+    p.set_defaults(handler=_cmd_baseline)
 
     p = sub.add_parser("sweep", help="fit over a rank grid and report the best by NMI")
     p.add_argument("manifest", type=str, help="dataset manifest (JSON), must declare labels")

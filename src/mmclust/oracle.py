@@ -271,10 +271,12 @@ def broadcast_lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: 
 
 
 def ridge_alternation(design, gamma: float, start) -> float:
-    """Reference for the baseline's alternation: from ``start``, 20 times solve
-    the ridge normal equations for the weight, then take the polar factor of
-    the scores by SVD as the next indicator.  Returns the final objective
-    ``||X W - Y||^2 + gamma ||W||^2``."""
+    """Reference descent for the baseline, which computes its optimum in closed
+    form and never alternates: from ``start``, 20 times solve the ridge normal
+    equations for the weight, then take the polar factor of the scores by SVD
+    as the next indicator.  Returns the final objective
+    ``||X W - Y||^2 + gamma ||W||^2``, which must never end below the closed
+    form."""
     gram = design.T @ design + gamma * np.eye(design.shape[1])
     indicator = np.asarray(start, dtype=np.float64)
     for _ in range(20):

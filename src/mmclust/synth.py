@@ -6,11 +6,10 @@ sign-interaction benchmark whose labels depend on the *product* of one feature
 from each of two views, invisible to any per-view or concatenated linear model.
 
 The baseline fits the regression-clustering model on concatenated views (bias
-absorbed), alternating a ridge least-squares weight solve with the
-nearest-orthonormal indicator update inside the fit's shared outer loop.  It
-starts at its closed-form optimum, the top left singular basis of the design
-(DIFFRAC with a linear kernel, Bach & Harchaoui 2007), so the loop only
-confirms it.
+absorbed).  It needs no alternation: its optimum has a closed form, the top
+left singular basis of the design (DIFFRAC with a linear kernel, Bach &
+Harchaoui 2007; the PCA relaxation of K-means, Ding & He 2004) with its ridge
+weight, both read off one eigendecomposition of the small ridge matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ from .solver import (
     CPWeights,
     FitConfig,
     FitReport,
-    _alternate,
+    IterationRecord,
+    extract_labels,
     nearest_orthonormal,
 )
 
@@ -155,14 +155,16 @@ def generate_interaction(
     return MultiViewDataset(tuple(views), labels=labels)
 
 
-def _closed_form_start(design, ridge, gamma, n_clusters, seed):
-    """Orthonormal ``n x n_clusters`` indicator spanning the top left singular
-    vectors of ``design``, taken from the eigenvectors of the small ridge
-    matrix ``design.T @ design + gamma * I`` rather than a thin SVD.
+def _closed_form(design, ridge, gamma, n_clusters, seed):
+    """The baseline's optimum from one eigendecomposition of the small ridge
+    matrix ``design.T @ design + gamma * I`` (no thin SVD of ``design``).
 
-    Columns beyond the rank of the design (squared singular values at
-    rounding level) are a Gaussian draw from ``seed`` projected off its range,
-    so the leading columns stay the top singular subspace.
+    Returns the orthonormal indicator Y spanning the top left singular vectors
+    of ``design`` and its weight ``V_r diag(1 / lambda_r) V_r' X'Y`` over the
+    eigenpairs above rounding level: the ridge weight at ``gamma > 0`` and the
+    minimum-norm least-squares one at ``gamma = 0``.  Indicator columns beyond
+    the rank of the design are a Gaussian draw from ``seed`` projected off its
+    range.
     """
     eigvals, eigvecs = np.linalg.eigh(ridge)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
@@ -175,7 +177,10 @@ def _closed_form_start(design, ridge, gamma, n_clusters, seed):
         basis = start[:, :k] / np.sqrt(squared[:k])
         pad = np.random.default_rng(seed).standard_normal((design.shape[0], n_clusters - k))
         start[:, k:] = pad - basis @ (basis.T @ pad)
-    return nearest_orthonormal(start)
+    indicator = nearest_orthonormal(start)
+    kept = eigvecs[:, :rank]
+    weight = kept @ ((kept.T @ (design.T @ indicator)) / eigvals[:rank, None])
+    return indicator, weight
 
 
 def baseline_regression_cluster(
@@ -187,15 +192,13 @@ def baseline_regression_cluster(
     the objective at that weight is ``tr(Y'(I - X(X'X + gamma I)^-1 X')Y)``,
     minimized over orthonormal Y by the top-K left singular vectors of the
     design X: ``sum_j gamma / (s_j^2 + gamma)`` over the K largest singular
-    values, plus one per column beyond the rank of X.  The fit starts there,
-    which is a fixed point of the alternation, so the loop stops at its second
-    iteration.  The start does not depend on ``config.gamma``; at
-    ``gamma = 0`` (minimum-norm least squares) it is the ``gamma -> 0+`` limit.
-    ``config.seed`` drives the K-means rounding and, when K exceeds the rank
-    of X, the columns past that rank.
-    The iterations run in the fit's own outer loop (``solver._alternate``), so
-    the trace, convergence rule and label extraction are shared, not copied,
-    and the two models are directly comparable.
+    values, plus one per column beyond the rank of X.  The baseline computes
+    that optimum directly, with no alternation, and reports it as one trace
+    record with ``converged=True``.  Of ``config`` it reads only ``gamma`` and
+    ``seed``.  The indicator does not depend on ``gamma``; at ``gamma = 0``
+    (minimum-norm least squares) it is the ``gamma -> 0+`` limit.  ``seed``
+    drives the K-means rounding, shared with ``fit``, and, when K exceeds the
+    rank of X, the columns past that rank.
     """
     t_start = time.perf_counter()
     normalized = normalize_views(dataset)
@@ -204,24 +207,31 @@ def baseline_regression_cluster(
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     stacked = np.vstack([*normalized.views, np.ones((1, n))])
     design = stacked.T
+    t_solve = time.perf_counter()
     ridge = stacked @ stacked.T + config.gamma * np.eye(stacked.shape[0])
+    start, w = _closed_form(design, ridge, config.gamma, n_clusters, config.seed)
+    indicator = ClusterIndicator(start)
+    scores = design @ w
+    fit_term = float(np.sum((scores - indicator.matrix) ** 2))
+    reg_term = config.gamma * float(np.sum(w * w))
+    record = IterationRecord(
+        iteration=1,
+        objective=fit_term + reg_term,
+        fit_term=fit_term,
+        reg_term=reg_term,
+        cg=(),
+        elapsed_sec=time.perf_counter() - t_solve,
+    )
     # a single concatenated view with an identity cluster factor reproduces
     # the linear scores exactly, so the report wraps the model as rank-K
-    identity = np.eye(n_clusters)
-
-    def step(indicator, full_solves):
-        if config.gamma > 0:
-            w = np.linalg.solve(ridge, stacked @ indicator.matrix)
-        else:
-            w, *_ = np.linalg.lstsq(design, indicator.matrix, rcond=None)
-        scores = design @ w
-        indicator = ClusterIndicator(nearest_orthonormal(scores))
-        fit_term = float(np.sum((scores - indicator.matrix) ** 2))
-        reg_term = config.gamma * float(np.sum(w * w))
-        terms = (fit_term + reg_term, fit_term, reg_term)
-        return indicator, CPWeights((w,), identity), terms, ()
-
-    start = _closed_form_start(design, ridge, config.gamma, n_clusters, config.seed)
-    return _alternate(
-        step, ClusterIndicator(start), n_clusters, config, "concat_regression", t_start
+    return FitReport(
+        config=config,
+        n_clusters=n_clusters,
+        trace=(record,),
+        weights=CPWeights((w,), np.eye(n_clusters)),
+        indicator=indicator,
+        labels=extract_labels(indicator, seed=config.seed),
+        converged=True,
+        total_time_sec=time.perf_counter() - t_start,
+        model="concat_regression",
     )

@@ -212,21 +212,31 @@ class TestBaseline:
         code, stdout, _ = run(
             capsys,
             "baseline", str(small_dataset / "manifest.json"),
-            "--k", "3", "--max-iters", "30", "--out", str(report_path),
+            "--k", "3", "--out", str(report_path),
         )
         assert code == 0
         assert "concat_regression" in stdout
         report = json.loads(report_path.read_text())
         assert report["model"] == "concat_regression"
 
-    def test_baseline_stops_at_its_second_iteration(self, small_dataset, capsys):
-        # the closed-form start is a fixed point, so the second iteration
-        # confirms it
+    def test_baseline_reports_its_closed_form_in_one_iteration(self, small_dataset, capsys):
         code, stdout, _ = run(
             capsys, "baseline", str(small_dataset / "manifest.json"), "--k", "3",
         )
         assert code == 0
-        assert "converged=True iterations=2 " in stdout.splitlines()[0]
+        assert "converged=True iterations=1 " in stdout.splitlines()[0]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-iters", "5"), ("--tol", "1e-6"), ("--cg-tol", "1e-8"),
+        ("--cg-max-iters", "5"), ("--irls-epsilon", "1e-12"), ("--init-scale", "0.1"),
+    ])
+    def test_baseline_rejects_solver_controls(self, small_dataset, capsys, flag, value):
+        # the baseline has no loop and no CG, so it takes no solver controls
+        code, _, err = run(
+            capsys, "baseline", str(small_dataset / "manifest.json"), "--k", "3", flag, value,
+        )
+        assert code == 2
+        assert "unrecognized arguments" in err
 
 
 class TestReportFile:
@@ -245,10 +255,12 @@ class TestReportFile:
 
         monkeypatch.setattr(cli, producer, capture)
         report_path = tmp_path / "report.json"
+        # the baseline computes its answer in closed form and takes no cap
+        cap = ("--max-iters", "5") if command == "fit" else ()
         code, _, err = run(
             capsys,
             command, str(small_dataset / "manifest.json"),
-            "--k", "3", "--max-iters", "5", "--out", str(report_path),
+            "--k", "3", *cap, "--out", str(report_path),
         )
         assert code == 0, err
         text = report_path.read_text()

@@ -215,13 +215,14 @@ class TestRunChecks:
         assert [name for name, ok, _ in results if not ok] == ["kmeans-vs-broadcast-lloyd"]
 
     def test_baseline_off_its_optimum_fails_only_its_check(self, monkeypatch):
-        # the former random start: the alternation stalls before it reaches
-        # the top singular subspace
+        # a random orthonormal indicator with its exact ridge weight: optimal
+        # in the weight, far from the top singular subspace
         def random_start(design, ridge, gamma, n_clusters, seed):
             rng = np.random.default_rng(seed)
-            return np.linalg.qr(rng.standard_normal((design.shape[0], n_clusters)))[0]
+            start = np.linalg.qr(rng.standard_normal((design.shape[0], n_clusters)))[0]
+            return start, np.linalg.solve(ridge, design.T @ start)
 
-        monkeypatch.setattr(synth, "_closed_form_start", random_start)
+        monkeypatch.setattr(synth, "_closed_form", random_start)
         results = run_checks(seed=0)
         assert [name for name, ok, _ in results if not ok] == ["baseline-vs-closed-form"]
 

@@ -346,13 +346,15 @@ class TestConjugateGradient:
         assert len(calls) == 1
         np.testing.assert_array_equal(x, x0)
 
-    def test_budget_exit_recomputes_true_residual(self):
+    def test_budget_exit_reports_recurrence_residual(self):
+        # no matvec is spent recomputing the residual of an unconverged solve;
+        # the recurrence's residual stands in for the true one
         h, b, matvec, calls = self._counted_system(42)
         x, stats = _conjugate_gradient(matvec, b, np.zeros_like(b), 1e-10, 2)
         assert stats.iterations == 2 and not stats.converged
-        assert len(calls) == stats.iterations + 2
+        assert len(calls) == stats.iterations + 1
         want = np.linalg.norm(b - h @ x) / np.linalg.norm(b)
-        assert stats.residual == pytest.approx(want, rel=1e-12)
+        assert stats.residual == pytest.approx(want, rel=1e-9)
 
 
 class TestUpdateViewWeights:
@@ -691,6 +693,19 @@ class TestFit:
             last = report.trace[-1].cg
             assert all(s.converged for s in last)
             assert max(s.iterations for s in last) > VIEW_CG_STEPS
+
+    @pytest.mark.filterwarnings("ignore:singular cluster-factor row system")
+    def test_zero_gamma_exact_fit_stops_at_second_iteration(self):
+        # with more factor components than instances and gamma = 0 the fit
+        # reaches objective zero up to rounding, which the stop rule must
+        # still recognize as a stall
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 9))
+            ds = MultiViewDataset((rng.standard_normal((4, n)), rng.standard_normal((3, n))))
+            report = fit(ds, 2, FitConfig(rank=8, gamma=0.0, seed=seed))
+            assert report.trace[-1].objective < 1e-20
+            assert report.converged and report.n_iterations == 2
 
     def test_debug_log_reports_cg_work(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="mmclust.solver"):
