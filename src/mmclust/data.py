@@ -7,6 +7,7 @@ stored dense, float64, and read-only once constructed.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,36 +145,61 @@ class AugmentedViews:
         return self.z_views[0].shape[1]
 
 
-def _read_matrix(path: Path) -> np.ndarray:
-    """Parse a delimited text matrix: one feature per line, comma- or
-    whitespace-separated numeric fields, one field per instance."""
-    if not path.is_file():
-        raise DataError(f"matrix file not found: {path}")
-    rows: list[list[float]] = []
+def _parse_rows(lines) -> np.ndarray:
+    """Whitespace-separated numbers from an iterable of text lines, one
+    matrix row per non-blank line, read by numpy's C reader; raises
+    ValueError on a non-numeric field or a ragged row.  ``#`` is an ordinary
+    (non-numeric) token, not a comment."""
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _locate_fault(path: Path) -> DataError | None:
+    """The first non-numeric field or ragged row of a matrix file, judging
+    each line by the reader that rejected the whole file."""
     width = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            tokens = line.replace(",", " ").split()
+            line = line.replace(",", " ")
+            tokens = line.split()
             if not tokens:
                 continue
-            row = []
-            for col, tok in enumerate(tokens, start=1):
-                try:
-                    row.append(float(tok))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric token '{tok}' in field {col}"
-                    ) from None
+            try:
+                row = _parse_rows([line])
+            except ValueError:
+                for col, tok in enumerate(tokens, start=1):
+                    try:
+                        _parse_rows([tok])
+                    except ValueError:
+                        return DataError(
+                            f"{path}:{lineno}: non-numeric token '{tok}' in field {col}"
+                        )
+                return None
             if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataError(
-                    f"{path}:{lineno}: ragged row ({len(row)} fields, expected {width})"
+                width = row.shape[1]
+            elif row.shape[1] != width:
+                return DataError(
+                    f"{path}:{lineno}: ragged row ({row.shape[1]} fields, expected {width})"
                 )
-            rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: empty matrix file")
-    mat = np.array(rows, dtype=np.float64)
+    return None
+
+
+def _read_matrix(path: Path) -> np.ndarray:
+    """Parse a delimited text matrix: one feature per line, comma- or
+    whitespace-separated numeric fields, one field per instance.  Blank lines
+    and empty fields (``1,,2``) are skipped."""
+    if not path.is_file():
+        raise DataError(f"matrix file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        # one line in memory at a time; the first non-blank one is peeked at
+        # to tell an empty file from a parse failure
+        lines = (line.replace(",", " ") for line in fh)
+        first = next((line for line in lines if not line.isspace()), None)
+        if first is None:
+            raise DataError(f"{path}: empty matrix file")
+        try:
+            mat = _parse_rows(itertools.chain((first,), lines))
+        except ValueError as exc:
+            raise (_locate_fault(path) or DataError(f"{path}: {exc}")) from None
     if not np.all(np.isfinite(mat)):
         raise DataError(f"{path}: matrix contains a non-finite value")
     return mat

@@ -9,9 +9,9 @@ contingency-table loop for NMI.  K-means is rerun with every distance formed
 as an explicit broadcast and every center as a masked mean.  The
 concatenated-view baseline is checked against its closed form from an
 independent SVD and against a plain ridge alternation from random starts.
-Apart from the K-means seeding, which fixes the random draws, they share no
-code with the solver, synth or metrics modules, so agreement between the two
-is evidence, not tautology.
+They share no code with the solver, synth or metrics modules, so agreement
+between the two is evidence, not tautology; the K-means reference keeps its
+own row-wise copy of the seeding, which consumes the same random draws.
 ``run_checks`` is the one place where the two meet; the ``oracle-check``
 command prints its verdicts and the tests reuse its references and fixtures.
 Sizes are capped to keep runs at desk scale.
@@ -237,18 +237,38 @@ def set_partitions(n: int) -> list[tuple[int, ...]]:
     return results
 
 
+def _plus_plus_centers(points, k, rng):
+    """Reference k-means++ seeding, row-wise: each point's squared distance to
+    a new center is summed along its row of the N x D ``points``.  It makes
+    the same ``rng`` draws in the same order as the solver's seeding."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
 def broadcast_lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
                            max_iters: int = 300):
-    """Reference for ``solver.lloyd_kmeans``: the same seeding, reseed rule and
-    restart choice, with the N x K x D distance broadcast and one masked mean
-    per cluster.  Returns the best restart's labels and inertia, and the
-    number of empty-cluster reseeds over all restarts."""
+    """Reference for ``solver.lloyd_kmeans``: the same random draws, reseed
+    rule and restart choice, with row-wise seeding, the N x K x D distance
+    broadcast, ``argmin`` over each point's row, and one masked mean per
+    cluster.  Returns the best restart's labels and inertia, and the number
+    of empty-cluster reseeds over all restarts."""
     points = np.asarray(points, dtype=np.float64)
     n, k = points.shape[0], n_clusters
     rng = np.random.default_rng(seed)
     best, reseeds = None, 0
     for _ in range(n_restarts):
-        centers = solver._plus_plus_centers(points, k, rng)
+        centers = _plus_plus_centers(points, k, rng)
         labels = np.full(n, -1, dtype=np.int64)
         for _ in range(max_iters):
             d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)

@@ -280,7 +280,7 @@ class FitReport:
             "n_iterations": self.n_iterations,
             "objective": float(self.trace[-1].objective),
             "trace": trace,
-            "labels": [int(x) for x in self.labels],
+            "labels": self.labels.tolist(),
             "indicator": self.indicator.matrix.tolist(),
             "view_factors": [f.tolist() for f in self.weights.view_factors],
             "cluster_factor": self.weights.cluster_factor.tolist(),
@@ -600,11 +600,14 @@ def update_indicator(scores: np.ndarray) -> ClusterIndicator:
 # ---------------------------------------------------------------------------
 
 
-def _plus_plus_centers(points, k, rng):
+def _plus_plus_centers(points, points_t, k, rng):
+    """k-means++ seeding: the first center uniform, each next one drawn with
+    probability proportional to its squared distance to the nearest center
+    so far.  Each distance is a column sum over the D x N copy ``points_t``."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(n))]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = ((points_t - centers[0][:, None]) ** 2).sum(axis=0)
     for j in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -612,22 +615,39 @@ def _plus_plus_centers(points, k, rng):
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[j] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+        np.minimum(d2, ((points_t - centers[j][:, None]) ** 2).sum(axis=0), out=d2)
     return centers
 
 
-def _lloyd_once(points, k, rng, max_iters):
-    n = points.shape[0]
-    centers = _plus_plus_centers(points, k, rng)
-    point_sq = np.einsum("ij,ij->i", points, points)
-    labels = np.full(n, -1, dtype=np.int64)
+def _first_argmin(d2):
+    """For each column of the K x N ``d2``, the first row that attains the
+    column minimum, which is ``argmin``'s tie rule, found with reductions
+    along contiguous rows.  The result has the narrowest unsigned type that
+    holds K - 1."""
+    k = d2.shape[0]
+    # rows ranked in reverse, so the first minimum of a column has the top rank
+    rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k - 1))[:, None]
+    return (k - 1) - ((d2 == d2.min(axis=0)) * rank).max(axis=0)
+
+
+def _lloyd_once(points, points_t, point_sq, k, rng, max_iters):
+    """One seeded Lloyd run on the N x D ``points``, given their D x N copy
+    ``points_t`` and squared norms ``point_sq``; returns (labels, inertia).
+
+    Each step forms the K x N squared distances ``|x|^2 - 2 C X^T + |c|^2``
+    and assigns each point to the first center that attains its column
+    minimum, ``argmin``'s tie rule.  The run stops when an assignment repeats,
+    before the means are recomputed from unchanged labels, or after
+    ``max_iters`` steps."""
+    centers = _plus_plus_centers(points, points_t, k, rng)
+    labels = None
     for _ in range(max_iters):
-        # squared distances in GEMM form, |x|^2 - 2 x.c + |c|^2, built in place
-        d2 = points @ centers.T
+        d2 = centers @ points_t
         d2 *= -2.0
-        d2 += point_sq[:, None]
-        d2 += np.einsum("ij,ij->i", centers, centers)
-        new_labels = d2.argmin(axis=1)
+        d2 += point_sq
+        d2 += np.einsum("ij,ij->i", centers, centers)[:, None]
+        # a narrow integer key, which the stable sort below orders by radix
+        new_labels = _first_argmin(d2)
         counts = np.bincount(new_labels, minlength=k)
         for j in np.flatnonzero(counts == 0):
             # reseed an empty cluster, in cluster order, at the worst-assigned
@@ -638,13 +658,16 @@ def _lloyd_once(points, k, rng, max_iters):
             counts[new_labels[worst]] -= 1
             counts[j] = 1
             new_labels[worst] = j
-        # cluster means: the members of each cluster summed in index order
-        order = np.argsort(new_labels, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        centers = np.add.reduceat(points[order], starts, axis=0) / counts[:, None]
-        if np.array_equal(new_labels, labels):
+        if labels is not None and np.array_equal(new_labels, labels):
+            # the current means are bit for bit the ones these labels give
             break
         labels = new_labels
+        # cluster means: the members of each cluster summed in index order
+        order = np.argsort(labels, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        centers = np.add.reduceat(np.take(points, order, axis=0), starts, axis=0)
+        centers /= counts[:, None]
+    labels = labels.astype(np.int64)
     inertia = float(np.sum((points - centers[labels]) ** 2))
     return labels, inertia
 
@@ -652,7 +675,14 @@ def _lloyd_once(points, k, rng, max_iters):
 def lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
                  max_iters: int = 300) -> np.ndarray:
     """Best-of-``n_restarts`` Lloyd iterations with distance-weighted seeding,
-    deterministic for a fixed seed and BLAS thread count."""
+    deterministic for a fixed seed and BLAS thread count.
+
+    The N x D ``points`` are copied once into a contiguous D x N array, and
+    their squared norms computed once, for all restarts; distances are formed
+    as K x N matrices, so every per-point reduction runs along contiguous
+    rows.  A point equidistant from several centers joins the first of them,
+    as with ``argmin``; the first restart with the least inertia wins.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or not 1 <= n_clusters <= pts.shape[0]:
         raise ValueError(
@@ -673,10 +703,12 @@ def lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
             f"points too large for K-means: entries up to {peak:.3e} exceed "
             f"{limit:.3e}, where squared distances would overflow"
         )
+    pts_t = np.ascontiguousarray(pts.T)
+    point_sq = np.einsum("ij,ij->i", pts, pts)
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(n_restarts):
-        labels, inertia = _lloyd_once(pts, n_clusters, rng, max_iters)
+        labels, inertia = _lloyd_once(pts, pts_t, point_sq, n_clusters, rng, max_iters)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels

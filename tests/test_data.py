@@ -108,6 +108,39 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"bad\.csv:2: non-numeric token 'oops'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2\t3\n4 5,6\n",
+            "1, 2 ,\t3\n 4\t,5,, 6\n",
+            "1,,2,3\n4,5,,6\n",
+            "\n1 2 3\n\n  \n4 5 6\n\n",
+        ],
+        ids=["mixed-separators", "padded-separators", "empty-fields", "blank-lines"],
+    )
+    def test_separator_variants_read_alike(self, tmp_path, text):
+        (tmp_path / "v.csv").write_text(text)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"views": ["v.csv"]}))
+        np.testing.assert_array_equal(load_dataset(path).views[0], [[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1,2\n\n3,# note\n", r"v\.csv:3: non-numeric token '#' in field 2"),
+            ("1 2\n3 1_0\n", r"v\.csv:2: non-numeric token '1_0' in field 2"),
+            ("1 2\n3 4\n5,6,7\n", r"v\.csv:3: ragged row \(3 fields, expected 2\)"),
+        ],
+        ids=["comment-marker", "digit-separator", "ragged-after-valid"],
+    )
+    def test_rejected_line_is_located(self, tmp_path, text, message):
+        # '#' is no comment marker, and a digit separator is no digit
+        (tmp_path / "v.csv").write_text(text)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"views": ["v.csv"]}))
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
     def test_nan_rejected(self, tmp_path):
         (tmp_path / "bad.csv").write_text("1,nan\n")
         path = tmp_path / "manifest.json"

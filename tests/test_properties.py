@@ -1,10 +1,11 @@
-"""Property tests: a budgeted fit descends monotonically and keeps its budget."""
+"""Property tests: a budgeted fit descends monotonically and keeps its budget,
+and K-means assignment breaks distance ties as ``argmin`` does."""
 
 import numpy as np
 import pytest
 
 from mmclust.data import MultiViewDataset
-from mmclust.solver import VIEW_CG_STEPS, FitConfig, fit
+from mmclust.solver import VIEW_CG_STEPS, FitConfig, _first_argmin, fit
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -44,3 +45,17 @@ def test_budgeted_fit_descends_within_budget(
         full = i >= 2 and stalled[i - 2]
         limit = cg_max_iters if full else min(cg_max_iters, VIEW_CG_STEPS)
         assert all(s.iterations <= limit for s in rec.cg)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 30)),
+    data=st.data(),
+)
+def test_first_argmin_takes_first_tied_row(shape, data):
+    # integer distances from a small range, so exact ties are common
+    values = data.draw(
+        st.lists(st.integers(0, 3), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    )
+    d2 = np.array(values, dtype=np.float64).reshape(shape)
+    np.testing.assert_array_equal(_first_argmin(d2), np.argmin(d2, axis=0))

@@ -1,5 +1,6 @@
 """Solver operations: each subproblem against its independent reference path."""
 
+import json
 import logging
 import math
 
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 
 from mmclust.data import MultiViewDataset, augment, normalize_views
-from mmclust.oracle import dense_H, full_tensor_predict, materialize_cp, random_model
+from mmclust.oracle import (
+    broadcast_lloyd_kmeans,
+    dense_H,
+    full_tensor_predict,
+    materialize_cp,
+    random_model,
+)
 from mmclust.solver import (
     CPWeights,
     ClusterIndicator,
@@ -15,6 +22,7 @@ from mmclust.solver import (
     VIEW_CG_STEPS,
     SolverError,
     _conjugate_gradient,
+    _first_argmin,
     apply_H,
     compute_embedding,
     extract_labels,
@@ -658,6 +666,28 @@ class TestExtractLabels:
         labels = lloyd_kmeans(pts, 2, n_restarts=3)
         assert labels[0] == labels[1] != labels[2] == labels[3]
 
+    def test_labels_match_broadcast_reference_on_blobs(self):
+        # 10 Gaussian blobs in 6 dimensions, overlapping enough that Lloyd
+        # takes several steps; the reference seeds row-wise and assigns by
+        # argmin over an N x K x D broadcast
+        rng = np.random.default_rng(33)
+        centers = 3.0 * rng.standard_normal((10, 6))
+        pts = centers[np.arange(2000) % 10] + rng.standard_normal((2000, 6))
+        labels = lloyd_kmeans(pts, 10, n_restarts=3, seed=7)
+        ref_labels, _, _ = broadcast_lloyd_kmeans(pts, 10, n_restarts=3, seed=7)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, ref_labels)
+
+    @pytest.mark.parametrize("k,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_first_argmin_key_holds_every_cluster(self, k, dtype):
+        # the last row is the only minimum of its column, so the key reaches k - 1
+        d2 = np.ones((k, 3))
+        d2[k - 1, 0] = 0.0
+        d2[0, 1] = 0.0
+        idx = _first_argmin(d2)
+        assert idx.dtype == dtype
+        np.testing.assert_array_equal(idx, np.argmin(d2, axis=0))
+
 
 class TestFit:
     def _dataset(self, seed, n=40, dims=(5, 4), k=3):
@@ -755,6 +785,13 @@ class TestFit:
                 rng.standard_normal((k, rank)),
             )
             assert w.n_parameters == rank * (k + sum(d + 1 for d in dims))
+
+    def test_report_labels_serialize_as_plain_ints(self):
+        report = fit(self._dataset(6), 3, FitConfig(rank=2, max_outer_iters=3))
+        out = report.to_dict(include_timing=False)
+        assert all(type(x) is int for x in out["labels"])
+        out["labels"] = [int(x) for x in report.labels]
+        assert report.to_json(include_timing=False) == json.dumps(out, sort_keys=True)
 
     def test_labels_length_and_range(self):
         ds = self._dataset(5)
