@@ -205,24 +205,39 @@ def _read_matrix(path: Path) -> np.ndarray:
     return mat
 
 
+def _parse_labels(lines) -> np.ndarray:
+    """One integer per non-blank line, read by numpy's C reader; raises
+    ValueError on any other line, including one with two fields."""
+    labels = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    if labels.shape[1] != 1:
+        raise ValueError(f"{labels.shape[1]} fields per line")
+    return labels[:, 0]
+
+
 def _read_labels(path: Path, n: int) -> np.ndarray:
     if not path.is_file():
         raise DataError(f"labels file not found: {path}")
-    values: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tok = line.strip()
-            if not tok:
-                continue
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: non-integer label '{tok}'"
-                ) from None
-    if len(values) != n:
-        raise DataError(f"{path}: expected {n} labels, found {len(values)}")
-    return np.array(values, dtype=np.int64)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    labels = np.empty(0, dtype=np.int64)
+    # the reader warns on input without data; an all-blank file holds no labels
+    if any(line.strip() for line in lines):
+        try:
+            labels = _parse_labels(lines)
+        except ValueError as exc:
+            # rescan line by line to name the first rejected line
+            for lineno, line in enumerate(lines, start=1):
+                tok = line.strip()
+                if tok:
+                    try:
+                        _parse_labels([line])
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{lineno}: non-integer label '{tok}'"
+                        ) from None
+            raise DataError(f"{path}: {exc}") from None
+    if labels.size != n:
+        raise DataError(f"{path}: expected {n} labels, found {labels.size}")
+    return labels
 
 
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:

@@ -1,9 +1,10 @@
 """Clustering evaluation: accuracy under optimal label matching, and NMI.
 
 Both metrics compare two partitions of the same instances and are invariant to
-relabeling either side.  Accuracy matches predicted to true clusters with the
-Hungarian algorithm on the contingency table; NMI normalizes mutual
-information by the geometric mean of the two partition entropies.
+relabeling either side.  Accuracy matches predicted to true clusters by an
+exact maximum-weight matching on the contingency table (Kuhn-Munkres, in
+plain Python on integers, so the module needs numpy only); NMI normalizes
+mutual information by the geometric mean of the two partition entropies.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["Partition", "optimal_label_matching", "accuracy", "nmi"]
 
@@ -61,30 +61,101 @@ def _contingency(true_p: Partition, pred_p: Partition) -> np.ndarray:
     return table
 
 
+def _max_weight_matching(weights: list[list[int]]) -> list[int]:
+    """Column matched to each row in a maximum-weight perfect matching of a
+    square integer matrix, as a permutation.  Among maximum matchings it
+    returns the lexicographically smallest column sequence.
+
+    Kuhn-Munkres with shortest augmenting paths, O(K^3), in exact integer
+    arithmetic.  Ties are broken by scaling the weights by K**K and adding
+    ``j * K**(K-1-i)`` to the cost of pairing row i with column j: these
+    terms sum to the matching's column sequence read as a K-digit base-K
+    number, which is below K**K, so they only order matchings of equal
+    weight.
+    """
+    k = len(weights)
+    scale = k**k
+    # cost[i][j] pairs row i with column j - 1; column 0 roots each search
+    cost = []
+    for i, row in enumerate(weights):
+        place = k ** (k - 1 - i)
+        cost.append([0] + [j * place - w * scale for j, w in enumerate(row)])
+    u = [0] * (k + 1)  # row potentials, row i at u[i + 1]
+    v = [0] * (k + 1)  # column potentials
+    owner = [0] * (k + 1)  # owner[j]: 1 + the row matched to column j, 0 if free
+    for row in range(1, k + 1):
+        # grow a shortest-path tree from the new row until it reaches a free column
+        owner[0] = row
+        way = [0] * (k + 1)  # previous column on the path to each column
+        # reduced distance to each column outside the tree; inf until reached,
+        # so every distance compared or shifted is an integer
+        minv = [math.inf] * (k + 1)
+        free, tree = list(range(1, k + 1)), [0]
+        j0 = 0
+        while owner[j0]:
+            i0 = owner[j0]
+            c, ui = cost[i0 - 1], u[i0]
+            delta = math.inf
+            for j in free:
+                cur = c[j] - ui - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in tree:
+                u[owner[j]] += delta
+                v[j] -= delta
+            free.remove(j1)
+            for j in free:
+                minv[j] -= delta
+            tree.append(j1)
+            j0 = j1
+        # augment along the path that ends at free column j0
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    matching = [0] * k
+    for j in range(1, k + 1):
+        matching[owner[j] - 1] = j - 1
+    return matching
+
+
+def _label_matching(table: np.ndarray) -> dict[int, int]:
+    kt, kp = table.shape
+    size = max(kt, kp)
+    # rows are predicted labels, columns true labels, zero-padded to square
+    weights = [[0] * size for _ in range(size)]
+    for p, col in enumerate(table.T.tolist()):
+        weights[p][:kt] = col
+    return {
+        p: t
+        for p, t in enumerate(_max_weight_matching(weights))
+        if p < kp and t < kt
+    }
+
+
 def optimal_label_matching(true_p: Partition, pred_p: Partition) -> dict[int, int]:
     """Injective map from predicted to true labels maximizing matched instances.
 
-    Computed by the Hungarian algorithm on the contingency table, zero-padded
-    to square when the cluster counts differ; predicted labels matched only to
-    padding are omitted from the map.
+    Computed by an exact maximum-weight matching on the contingency table,
+    zero-padded to square when the cluster counts differ; predicted labels
+    matched only to padding are omitted from the map.  When several
+    matchings match the most instances, it returns the one that gives
+    predicted label 0 the smallest true label it can, then predicted label 1,
+    and so on (padding counts as true labels ``true_p.k``, ``true_p.k + 1``,
+    ...).  Accuracy depends only on the matched count, which every maximum
+    matching shares, so it does not depend on this choice.
     """
-    table = _contingency(true_p, pred_p)
-    size = max(true_p.k, pred_p.k)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: true_p.k, : pred_p.k] = table
-    rows, cols = linear_sum_assignment(-padded)
-    return {
-        int(c): int(r)
-        for r, c in zip(rows, cols)
-        if r < true_p.k and c < pred_p.k
-    }
+    return _label_matching(_contingency(true_p, pred_p))
 
 
 def accuracy(true_p: Partition, pred_p: Partition) -> float:
     """Fraction of instances matched under the optimal label mapping."""
     table = _contingency(true_p, pred_p)
-    mapping = optimal_label_matching(true_p, pred_p)
-    matched = sum(int(table[t, p]) for p, t in mapping.items())
+    matched = sum(int(table[t, p]) for p, t in _label_matching(table).items())
     return matched / true_p.n
 
 

@@ -153,6 +153,31 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="expected 3 labels"):
             load_dataset(path)
 
+    def test_blank_label_lines_skipped(self, tmp_path):
+        path = write_dataset(tmp_path, [[[1.0, 2.0, 3.0]]])
+        (tmp_path / "labels.csv").write_text("0\n\n 1 \n\t\n0")
+        path.write_text(json.dumps({"views": ["view0.csv"], "labels": "labels.csv"}))
+        np.testing.assert_array_equal(load_dataset(path).labels, [0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0\n1 2\n0\n", r"labels\.csv:2: non-integer label '1 2'"),
+            ("0\n1\n\n1.0\n", r"labels\.csv:4: non-integer label '1\.0'"),
+            ("1_0\n0\n1\n", r"labels\.csv:1: non-integer label '1_0'"),
+            ("0\n1\n# note\n", r"labels\.csv:3: non-integer label '# note'"),
+        ],
+        ids=["two-fields", "decimal-point", "digit-separator", "comment-marker"],
+    )
+    def test_rejected_label_line_is_located(self, tmp_path, text, message):
+        # one field per line; '#' is no comment marker, and a digit separator
+        # is no digit
+        path = write_dataset(tmp_path, [[[1.0, 2.0, 3.0]]])
+        (tmp_path / "labels.csv").write_text(text)
+        path.write_text(json.dumps({"views": ["view0.csv"], "labels": "labels.csv"}))
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
     def test_invalid_manifest_json(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{not json")

@@ -1,9 +1,17 @@
 """Clustering metrics: Hungarian-matched accuracy and NMI."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from mmclust.metrics import Partition, accuracy, nmi, optimal_label_matching
+from mmclust.metrics import (
+    Partition,
+    _max_weight_matching,
+    accuracy,
+    nmi,
+    optimal_label_matching,
+)
 from mmclust.oracle import exhaustive_accuracy, nmi_from_contingency, set_partitions
 
 
@@ -41,6 +49,56 @@ class TestOptimalLabelMatching:
             optimal_label_matching(
                 Partition.from_labels([0, 1]), Partition.from_labels([0, 1, 0])
             )
+
+    def test_padded_tables_drop_padding_and_match_exhaustive(self):
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            kt, kp = (int(x) for x in rng.choice(np.arange(1, 6), size=2, replace=False))
+            n = int(rng.integers(max(kt, kp), 16))
+            # every label occurs, so the partitions have exactly kt and kp clusters
+            true = np.concatenate([np.arange(kt), rng.integers(0, kt, n - kt)])
+            pred = np.concatenate([np.arange(kp), rng.integers(0, kp, n - kp)])
+            mapping = optimal_label_matching(
+                Partition.from_labels(true), Partition.from_labels(pred)
+            )
+            # pairs with a padding label on either side are left out
+            assert len(mapping) == min(kt, kp)
+            assert set(mapping) <= set(range(kp))
+            assert len(set(mapping.values())) == len(mapping)
+            assert set(mapping.values()) <= set(range(kt))
+            matched = sum(int(np.sum((pred == p) & (true == t))) for p, t in mapping.items())
+            assert matched / n == exhaustive_accuracy(true, pred)
+
+    def test_ties_go_to_the_smallest_true_label_in_predicted_order(self):
+        # every matching of this table matches two of the four instances
+        true = Partition.from_labels([0, 0, 1, 1])
+        pred = Partition.from_labels([0, 1, 0, 1])
+        assert optimal_label_matching(true, pred) == {0: 0, 1: 1}
+        # either predicted label can take true label 0; predicted 0 comes first
+        for pred in ([0, 1], [1, 0]):
+            assert optimal_label_matching(
+                Partition.from_labels([0, 0]), Partition.from_labels(pred)
+            ) == {0: 0}
+
+
+class TestMaxWeightMatching:
+    def test_lexicographically_first_maximum(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            k = int(rng.integers(1, 6))
+            weights = rng.integers(0, 3, size=(k, k))
+            totals = {
+                perm: int(weights[np.arange(k), perm].sum())
+                for perm in itertools.permutations(range(k))
+            }
+            best = max(totals.values())
+            expected = min(perm for perm, total in totals.items() if total == best)
+            assert tuple(_max_weight_matching(weights.tolist())) == expected
+
+    def test_exact_beyond_float_precision(self):
+        # 2**60 + 1 rounds to 2**60 in float64, which would make this a tie
+        big = 2**60
+        assert _max_weight_matching([[big, big + 1], [big + 1, big]]) == [1, 0]
 
 
 class TestAccuracy:

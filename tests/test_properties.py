@@ -1,10 +1,12 @@
 """Property tests: a budgeted fit descends monotonically and keeps its budget,
-and K-means assignment breaks distance ties as ``argmin`` does."""
+K-means assignment breaks distance ties as ``argmin`` does, and the label
+matcher attains the assignment optimum that scipy computes independently."""
 
 import numpy as np
 import pytest
 
 from mmclust.data import MultiViewDataset
+from mmclust.metrics import _max_weight_matching
 from mmclust.solver import VIEW_CG_STEPS, FitConfig, _first_argmin, fit
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -59,3 +61,16 @@ def test_first_argmin_takes_first_tied_row(shape, data):
     )
     d2 = np.array(values, dtype=np.float64).reshape(shape)
     np.testing.assert_array_equal(_first_argmin(d2), np.argmin(d2, axis=0))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(k=st.integers(1, 12), data=st.data())
+def test_label_matching_attains_the_assignment_optimum(k, data):
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    # small integer entries, so many matchings tie at the maximum
+    values = data.draw(st.lists(st.integers(0, 3), min_size=k * k, max_size=k * k))
+    weights = np.array(values, dtype=np.int64).reshape(k, k)
+    matching = _max_weight_matching(weights.tolist())
+    assert sorted(matching) == list(range(k))
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    assert weights[np.arange(k), matching].sum() == weights[rows, cols].sum()
