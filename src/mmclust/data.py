@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -208,7 +209,14 @@ def _read_matrix(path: Path) -> np.ndarray:
 def _parse_labels(lines) -> np.ndarray:
     """One integer per non-blank line, read by numpy's C reader; raises
     ValueError on any other line, including one with two fields."""
-    labels = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    with warnings.catch_warnings():
+        # numpy releases that read '1.0' as the integer 1 warn that this is
+        # deprecated instead of rejecting it; reject it on every release
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            labels = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
     if labels.shape[1] != 1:
         raise ValueError(f"{labels.shape[1]} fields per line")
     return labels[:, 0]
@@ -217,10 +225,11 @@ def _parse_labels(lines) -> np.ndarray:
 def _read_labels(path: Path, n: int) -> np.ndarray:
     if not path.is_file():
         raise DataError(f"labels file not found: {path}")
-    lines = path.read_text(encoding="utf-8").split("\n")
+    text = path.read_text(encoding="utf-8")
     labels = np.empty(0, dtype=np.int64)
     # the reader warns on input without data; an all-blank file holds no labels
-    if any(line.strip() for line in lines):
+    if text.strip():
+        lines = text.split("\n")
         try:
             labels = _parse_labels(lines)
         except ValueError as exc:

@@ -62,35 +62,29 @@ def _contingency(true_p: Partition, pred_p: Partition) -> np.ndarray:
 
 
 def _max_weight_matching(weights: list[list[int]]) -> list[int]:
-    """Column matched to each row in a maximum-weight perfect matching of a
-    square integer matrix, as a permutation.  Among maximum matchings it
-    returns the lexicographically smallest column sequence.
+    """Column matched to each row in a maximum-weight matching of an integer
+    matrix with no more rows than columns, as a list of distinct columns.
 
-    Kuhn-Munkres with shortest augmenting paths, O(K^3), in exact integer
-    arithmetic.  Ties are broken by scaling the weights by K**K and adding
-    ``j * K**(K-1-i)`` to the cost of pairing row i with column j: these
-    terms sum to the matching's column sequence read as a K-digit base-K
-    number, which is below K**K, so they only order matchings of equal
-    weight.
+    Kuhn-Munkres with shortest augmenting paths, O(n^2 m) for n rows and m
+    columns, in exact integer arithmetic.  Rows enter in order and ties go to
+    the first column reached, so among maximum matchings it returns the one
+    this search meets first; the choice is deterministic.
     """
-    k = len(weights)
-    scale = k**k
+    n = len(weights)
+    m = len(weights[0]) if n else 0
     # cost[i][j] pairs row i with column j - 1; column 0 roots each search
-    cost = []
-    for i, row in enumerate(weights):
-        place = k ** (k - 1 - i)
-        cost.append([0] + [j * place - w * scale for j, w in enumerate(row)])
-    u = [0] * (k + 1)  # row potentials, row i at u[i + 1]
-    v = [0] * (k + 1)  # column potentials
-    owner = [0] * (k + 1)  # owner[j]: 1 + the row matched to column j, 0 if free
-    for row in range(1, k + 1):
+    cost = [[0] + [-w for w in row] for row in weights]
+    u = [0] * (n + 1)  # row potentials, row i at u[i + 1]
+    v = [0] * (m + 1)  # column potentials
+    owner = [0] * (m + 1)  # owner[j]: 1 + the row matched to column j, 0 if free
+    for row in range(1, n + 1):
         # grow a shortest-path tree from the new row until it reaches a free column
         owner[0] = row
-        way = [0] * (k + 1)  # previous column on the path to each column
+        way = [0] * (m + 1)  # previous column on the path to each column
         # reduced distance to each column outside the tree; inf until reached,
         # so every distance compared or shifted is an integer
-        minv = [math.inf] * (k + 1)
-        free, tree = list(range(1, k + 1)), [0]
+        minv = [math.inf] * (m + 1)
+        free, tree = list(range(1, m + 1)), [0]
         j0 = 0
         while owner[j0]:
             i0 = owner[j0]
@@ -117,45 +111,55 @@ def _max_weight_matching(weights: list[list[int]]) -> list[int]:
             j1 = way[j0]
             owner[j0] = owner[j1]
             j0 = j1
-    matching = [0] * k
-    for j in range(1, k + 1):
-        matching[owner[j] - 1] = j - 1
+    matching = [0] * n
+    for j in range(1, m + 1):
+        if owner[j]:
+            matching[owner[j] - 1] = j - 1
     return matching
 
 
-def _label_matching(table: np.ndarray) -> dict[int, int]:
-    kt, kp = table.shape
-    size = max(kt, kp)
-    # rows are predicted labels, columns true labels, zero-padded to square
-    weights = [[0] * size for _ in range(size)]
-    for p, col in enumerate(table.T.tolist()):
-        weights[p][:kt] = col
-    return {
-        p: t
-        for p, t in enumerate(_max_weight_matching(weights))
-        if p < kp and t < kt
-    }
+def _matched_pairs(table: np.ndarray) -> list[tuple[int, int]]:
+    """(true, predicted) label pairs of a maximum matching on the contingency
+    table, over the labels that occur only.
+
+    Labels without instances add nothing to any matching, so dropping their
+    all-zero rows and columns bounds the matcher's size by the labels present,
+    not by the largest label.  The shorter side is matched into the longer.
+    """
+    true_ids = [t for t, x in enumerate(table.any(axis=1).tolist()) if x]
+    pred_ids = [p for p, x in enumerate(table.any(axis=0).tolist()) if x]
+    if len(true_ids) < table.shape[0] or len(pred_ids) < table.shape[1]:
+        table = table[np.ix_(true_ids, pred_ids)]
+    if len(pred_ids) <= len(true_ids):
+        matching = _max_weight_matching(table.T.tolist())
+        return [(true_ids[t], pred_ids[p]) for p, t in enumerate(matching)]
+    matching = _max_weight_matching(table.tolist())
+    return [(true_ids[t], pred_ids[p]) for t, p in enumerate(matching)]
 
 
 def optimal_label_matching(true_p: Partition, pred_p: Partition) -> dict[int, int]:
     """Injective map from predicted to true labels maximizing matched instances.
 
-    Computed by an exact maximum-weight matching on the contingency table,
-    zero-padded to square when the cluster counts differ; predicted labels
-    matched only to padding are omitted from the map.  When several
-    matchings match the most instances, it returns the one that gives
-    predicted label 0 the smallest true label it can, then predicted label 1,
-    and so on (padding counts as true labels ``true_p.k``, ``true_p.k + 1``,
-    ...).  Accuracy depends only on the matched count, which every maximum
-    matching shares, so it does not depend on this choice.
+    The map has ``min(true_p.k, pred_p.k)`` entries, so when the cluster
+    counts differ the predicted labels left over are omitted.  The labels
+    that occur are paired by an exact maximum-weight matching on their
+    contingency table; labels without instances then pair off in increasing
+    order.  Several matchings may match the most instances: it returns the
+    one the matcher's augmenting-path search meets first, which is
+    deterministic.  Accuracy depends only on the matched count, which every
+    maximum matching shares, so it does not depend on this choice.
     """
-    return _label_matching(_contingency(true_p, pred_p))
+    mapping = {p: t for t, p in _matched_pairs(_contingency(true_p, pred_p))}
+    spare_true = sorted(set(range(true_p.k)) - set(mapping.values()))
+    spare_pred = (p for p in range(pred_p.k) if p not in mapping)
+    mapping.update(zip(spare_pred, spare_true))
+    return mapping
 
 
 def accuracy(true_p: Partition, pred_p: Partition) -> float:
     """Fraction of instances matched under the optimal label mapping."""
     table = _contingency(true_p, pred_p)
-    matched = sum(int(table[t, p]) for p, t in _label_matching(table).items())
+    matched = sum(int(table[t, p]) for t, p in _matched_pairs(table))
     return matched / true_p.n
 
 

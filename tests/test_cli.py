@@ -205,6 +205,26 @@ class TestFitAndEval:
         assert code == 1
         assert "n_clusters" in err
 
+    def test_eval_with_raw_class_ids(self, small_dataset, tmp_path, capsys):
+        # a labels file may name classes by raw IDs; only the IDs that occur
+        # enter the matching, so the scores equal those of contiguous labels
+        report_path = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "baseline", str(small_dataset / "manifest.json"), "--k", "3",
+            "--out", str(report_path),
+        )
+        assert code == 0, err
+        labels = np.loadtxt(small_dataset / "labels.csv", dtype=np.int64)
+        raw = tmp_path / "raw.csv"
+        raw.write_text("".join(f"{[7, 999, 5000][y]}\n" for y in labels))
+        code, dense_out, _ = run(
+            capsys, "eval", str(report_path), str(small_dataset / "labels.csv")
+        )
+        assert code == 0
+        code, raw_out, err = run(capsys, "eval", str(report_path), str(raw))
+        assert code == 0, err
+        assert raw_out == dense_out
+
 
 class TestBaseline:
     def test_baseline_runs_and_reports(self, small_dataset, tmp_path, capsys):

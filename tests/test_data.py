@@ -1,6 +1,7 @@
 """Dataset ingestion, normalization, and augmentation behavior."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,26 @@ class TestLoadDataset:
         (tmp_path / "labels.csv").write_text(text)
         path.write_text(json.dumps({"views": ["view0.csv"], "labels": "labels.csv"}))
         with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
+    def test_label_read_via_float_is_rejected(self, tmp_path, monkeypatch):
+        # numpy releases from 1.23 on read '1.0' as the integer 1 with a
+        # DeprecationWarning; emulate them, and expect the line rejected
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(lines, dtype, **kwargs):
+            lines = list(lines)
+            if dtype is np.int64 and any(".0" in line for line in lines):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+                lines = [line.replace(".0", "") for line in lines]
+            return real_loadtxt(lines, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        path = write_dataset(tmp_path, [[[1.0, 2.0, 3.0]]])
+        (tmp_path / "labels.csv").write_text("0\n1.0\n1\n")
+        path.write_text(json.dumps({"views": ["view0.csv"], "labels": "labels.csv"}))
+        with pytest.raises(DataError, match=r"labels\.csv:2: non-integer label '1\.0'"):
             load_dataset(path)
 
     def test_invalid_manifest_json(self, tmp_path):

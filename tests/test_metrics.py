@@ -1,10 +1,9 @@
 """Clustering metrics: Hungarian-matched accuracy and NMI."""
 
-import itertools
-
 import numpy as np
 import pytest
 
+from mmclust import metrics
 from mmclust.metrics import (
     Partition,
     _max_weight_matching,
@@ -69,32 +68,45 @@ class TestOptimalLabelMatching:
             matched = sum(int(np.sum((pred == p) & (true == t))) for p, t in mapping.items())
             assert matched / n == exhaustive_accuracy(true, pred)
 
-    def test_ties_go_to_the_smallest_true_label_in_predicted_order(self):
-        # every matching of this table matches two of the four instances
-        true = Partition.from_labels([0, 0, 1, 1])
-        pred = Partition.from_labels([0, 1, 0, 1])
-        assert optimal_label_matching(true, pred) == {0: 0, 1: 1}
-        # either predicted label can take true label 0; predicted 0 comes first
-        for pred in ([0, 1], [1, 0]):
-            assert optimal_label_matching(
-                Partition.from_labels([0, 0]), Partition.from_labels(pred)
-            ) == {0: 0}
+    def test_absent_labels_pair_off_in_increasing_order(self):
+        # labels 1 and 3 have no instances on either side; they add nothing
+        # to the matched count and fill the map after the matching
+        true = Partition.from_labels([0, 0, 2, 2], k=4)
+        pred = Partition.from_labels([2, 2, 0, 0], k=4)
+        assert optimal_label_matching(true, pred) == {2: 0, 0: 2, 1: 1, 3: 3}
+
+    def test_sparse_label_ids_match_their_contiguous_relabeling(self):
+        rng = np.random.default_rng(18)
+        ids = np.array([3, 999, 5000])
+        for _ in range(20):
+            dense = rng.integers(0, 3, 40)
+            pred = Partition.from_labels(rng.integers(0, 4, 40), k=4)
+            sparse_p = Partition.from_labels(ids[dense])
+            assert sparse_p.k == 5001
+            mapping = optimal_label_matching(sparse_p, pred)
+            assert len(mapping) == 4
+            assert set(mapping.values()) <= set(range(5001))
+            assert accuracy(sparse_p, pred) == accuracy(Partition.from_labels(dense), pred)
+            assert accuracy(sparse_p, pred) == exhaustive_accuracy(dense, pred.labels)
+
+    def test_matcher_sees_only_labels_that_occur(self, monkeypatch):
+        # both sides name three clusters by IDs up to 5000 and 400: the
+        # matcher gets a 3x3 table, not one padded to the largest ID
+        shapes = []
+
+        def spy(weights):
+            shapes.append((len(weights), len(weights[0])))
+            return _max_weight_matching(weights)
+
+        monkeypatch.setattr(metrics, "_max_weight_matching", spy)
+        true = Partition.from_labels([3, 3, 999, 5000, 5000])
+        pred = Partition.from_labels([400, 400, 12, 12, 0])
+        assert accuracy(true, pred) == 0.8
+        assert len(optimal_label_matching(true, pred)) == 401
+        assert shapes == [(3, 3), (3, 3)]
 
 
 class TestMaxWeightMatching:
-    def test_lexicographically_first_maximum(self):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            k = int(rng.integers(1, 6))
-            weights = rng.integers(0, 3, size=(k, k))
-            totals = {
-                perm: int(weights[np.arange(k), perm].sum())
-                for perm in itertools.permutations(range(k))
-            }
-            best = max(totals.values())
-            expected = min(perm for perm, total in totals.items() if total == best)
-            assert tuple(_max_weight_matching(weights.tolist())) == expected
-
     def test_exact_beyond_float_precision(self):
         # 2**60 + 1 rounds to 2**60 in float64, which would make this a tie
         big = 2**60
