@@ -186,11 +186,12 @@ def nmi(true_p: Partition, pred_p: Partition) -> float:
     if h_true == 0.0 or h_pred == 0.0:
         return 0.0
 
+    # only the nonzero cells contribute; np.nonzero visits them in row-major
+    # order, the order of a full scan, so the sum is the same bit for bit
     info = 0.0
-    for t in range(table.shape[0]):
-        for p in range(table.shape[1]):
-            joint = table[t, p]
-            if joint > 0:
-                info += (joint / n) * math.log(n * joint / (true_counts[t] * pred_counts[p]))
+    rows, cols = np.nonzero(table)
+    true_list, pred_list = true_counts.tolist(), pred_counts.tolist()
+    for t, p, joint in zip(rows.tolist(), cols.tolist(), table[rows, cols].tolist()):
+        info += (joint / n) * math.log(n * joint / (true_list[t] * pred_list[p]))
     value = info / math.sqrt(h_true * h_pred)
     return min(max(value, 0.0), 1.0)

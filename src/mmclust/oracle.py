@@ -6,7 +6,9 @@ forming: the full weight tensor, the dense system matrix of the view-factor
 update, and explicit outer products.  They recompute the clustering metrics
 by brute force: exhaustive permutation search for accuracy and a scalar
 contingency-table loop for NMI.  K-means is rerun with every distance formed
-as an explicit broadcast and every center as a masked mean.  The
+as an explicit broadcast and every center as a masked mean.  The view
+solve's conjugate gradient is rerun with a fresh array for every vector
+update, and must give the solver's in-place loop byte for byte.  The
 concatenated-view baseline is checked against its closed form from an
 independent SVD and against a plain ridge alternation from random starts.
 They share no code with the solver, synth or metrics modules, so agreement
@@ -42,11 +44,14 @@ __all__ = [
     "set_partitions",
     "broadcast_lloyd_kmeans",
     "ridge_alternation",
+    "reference_conjugate_gradient",
     "run_checks",
 ]
 
 MATERIALIZE_ENTRY_CAP = 1_000_000
 DENSE_SYSTEM_SIZE_CAP = 5_000
+# view-system shapes (M, N, R) of the benchmark's ``small`` and ``wide`` fits
+VIEW_SYSTEM_SHAPES = ((11, 300, 10), (51, 1000, 20))
 
 
 @dataclass(frozen=True)
@@ -307,6 +312,52 @@ def ridge_alternation(design, gamma: float, start) -> float:
     return float(np.sum((scores - indicator) ** 2)) + gamma * float(np.sum(w * w))
 
 
+def reference_conjugate_gradient(matvec, b, x0, tol, max_iters):
+    """Reference for ``solver._conjugate_gradient``: the same CG recurrence
+    and stop rule, written with a fresh array for every vector update and
+    numpy scalar tests.  Returns the iterate and a ``solver.CGStats``."""
+    b = np.asarray(b, dtype=np.float64)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros_like(b), solver.CGStats(0, 0.0, True)
+    x = np.array(x0, dtype=np.float64, copy=True)
+    r = b - matvec(x)
+    if not np.all(np.isfinite(r)):
+        raise solver.SolverError("conjugate gradient: non-finite residual at start")
+    target = tol * b_norm
+    rs = float(r @ r)
+    p = r.copy()
+    iterations = 0
+    while np.sqrt(rs) > target and iterations < max_iters:
+        hp = matvec(p)
+        php = float(p @ hp)
+        if not np.isfinite(php):
+            raise solver.SolverError("conjugate gradient diverged: non-finite curvature")
+        if php <= 0.0:
+            break
+        alpha = rs / php
+        x += alpha * p
+        r -= alpha * hp
+        iterations += 1
+        rs_new = float(r @ r)
+        if not np.isfinite(rs_new):
+            raise solver.SolverError("conjugate gradient diverged: non-finite residual")
+        if np.sqrt(rs_new) <= target:
+            # confirm with the true residual; restart from it if drift remains
+            r = b - matvec(x)
+            rs = float(r @ r)
+            if np.sqrt(rs) <= target:
+                break
+            p = r.copy()
+            continue
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    if not np.all(np.isfinite(x)):
+        raise solver.SolverError("conjugate gradient diverged: non-finite iterate")
+    residual = float(np.linalg.norm(r)) / b_norm
+    return x, solver.CGStats(iterations, residual, residual <= tol)
+
+
 def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Compare every fast path with its reference on random draws from
     ``seed``; returns one (name, ok, detail) tuple per check, in a fixed order.
@@ -553,6 +604,41 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         worst_angle < 1e-8 and worst_objective < 1e-10 and lowest_reference > -1e-12,
         f"max angle sine {worst_angle:.3e}, max rel objective delta {worst_objective:.3e}, "
         f"min rel reference excess {lowest_reference:.3e} over 3 draws",
+    )
+
+    # the solver's CG, which updates its vectors in place, against the
+    # reference recurrence on the view-system shapes of the benchmark fits:
+    # an exit on fit's step budget, a solve to cg_tol, which ends on the
+    # true-residual confirmation, and a zero right-hand side; iterates must
+    # agree byte for byte and the diagnostics exactly
+    same, solved = True, []
+    tol, cap = solver.FitConfig.cg_tol, solver.FitConfig.cg_max_iters
+    for m, n, r in VIEW_SYSTEM_SHAPES:
+        A = rng.standard_normal((m, n))
+        A /= np.sqrt(n)
+        B = rng.standard_normal((n, r))
+        G = rng.standard_normal((r, r))
+        C = G.T @ G / r
+        d = rng.uniform(0.5, 1.0, size=m)
+        x0 = rng.standard_normal(m * r)
+        b = rng.standard_normal(m * r)
+
+        def matvec(v):
+            return solver.apply_H(v, A, B, C, d, 0.1)
+
+        for rhs, budget in ((b, solver.VIEW_CG_STEPS), (b, cap), (np.zeros(m * r), cap)):
+            x, stats = solver._conjugate_gradient(matvec, rhs, x0, tol, budget)
+            ref_x, ref_stats = reference_conjugate_gradient(matvec, rhs, x0, tol, budget)
+            same = same and x.tobytes() == ref_x.tobytes() and stats == ref_stats
+            if rhs is b and budget == cap:
+                solved.append(stats)
+    record(
+        "lean-cg-vs-reference",
+        same and all(s.converged for s in solved),
+        f"iterates {'identical' if same else 'differ'}; budget "
+        f"{solver.VIEW_CG_STEPS}, to tol in {'/'.join(str(s.iterations) for s in solved)} "
+        f"steps ({sum(s.converged for s in solved)} converged) and zero rhs on shapes "
+        f"{', '.join('x'.join(map(str, s)) for s in VIEW_SYSTEM_SHAPES)}",
     )
 
     return results

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -396,7 +397,10 @@ def apply_H(x_vec, A, B, C, D_diag, gamma: float) -> np.ndarray:
         vec( A @ (B * ((B * (A.T @ X)) @ C)) + gamma * diag(D_diag) @ X )
 
     which equals ``H @ x_vec`` for the dense Kronecker operator assembled by
-    the oracle module, without ever forming the (M*R)^2 matrix.
+    the oracle module, without ever forming the (M*R)^2 matrix.  The products
+    are taken with the operand layouts of that expression, so the result is
+    bit for bit its value; the elementwise steps reuse their buffers, and the
+    sum is written straight into the returned vector.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -413,9 +417,17 @@ def apply_H(x_vec, A, B, C, D_diag, gamma: float) -> np.ndarray:
     if x_vec.size != m * r:
         raise ValueError(f"x_vec has {x_vec.size} entries, expected {m * r}")
     X = x_vec.reshape((m, r), order="F")
-    inner = (B * (A.T @ X)) @ C
-    out = A @ (B * inner) + gamma * (D_diag[:, None] * X)
-    return out.ravel(order="F")
+    inner = A.T @ X
+    inner *= B
+    inner = inner @ C
+    inner *= B
+    out = np.empty(m * r)
+    # a column-major view, so the vec of the sum is ``out`` itself
+    total = out.reshape((m, r), order="F")
+    np.multiply(D_diag[:, None], X, out=total)
+    total *= gamma
+    np.add(A @ inner, total, out=total)
+    return out
 
 
 def _conjugate_gradient(matvec, b, x0, tol, max_iters):
@@ -426,7 +438,10 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
     the explicitly recomputed residual before it is trusted.  The reported
     residual is the norm of ``r`` as the loop leaves it: the true residual
     after a confirmed stop, the recurrence's otherwise, so an exit on the step
-    budget costs no extra matvec.
+    budget costs no extra matvec.  ``x``, ``r`` and ``p`` are updated in place
+    through one step buffer with the operations of ``x += alpha * p``,
+    ``r -= alpha * hp`` and ``p = r + beta * p``, so the iterates are bit for
+    bit those of ``oracle.reference_conjugate_gradient``.
     """
     b = np.asarray(b, dtype=np.float64)
     b_norm = float(np.linalg.norm(b))
@@ -439,30 +454,32 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
     target = tol * b_norm
     rs = float(r @ r)
     p = r.copy()
+    step = np.empty_like(r)
     iterations = 0
-    while np.sqrt(rs) > target and iterations < max_iters:
+    while math.sqrt(rs) > target and iterations < max_iters:
         hp = matvec(p)
         php = float(p @ hp)
-        if not np.isfinite(php):
+        if not math.isfinite(php):
             raise SolverError("conjugate gradient diverged: non-finite curvature")
         if php <= 0.0:
             break  # numerically semidefinite direction; keep the current iterate
         alpha = rs / php
-        x += alpha * p
-        r -= alpha * hp
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(hp, alpha, out=step)
         iterations += 1
         rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
+        if not math.isfinite(rs_new):
             raise SolverError("conjugate gradient diverged: non-finite residual")
-        if np.sqrt(rs_new) <= target:
+        if math.sqrt(rs_new) <= target:
             # confirm with the true residual; restart from it if drift remains
             r = b - matvec(x)
             rs = float(r @ r)
-            if np.sqrt(rs) <= target:
+            if math.sqrt(rs) <= target:
                 break
-            p = r.copy()
+            p[:] = r
             continue
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     if not np.all(np.isfinite(x)):
         raise SolverError("conjugate gradient diverged: non-finite iterate")
@@ -794,12 +811,13 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
                 elapsed_sec=time.perf_counter() - t_iter,
             )
         )
-        logger.debug(
-            "iteration %d: objective=%.6e fit=%.6e reg=%.6e cg_steps=%d "
-            "cg_worst_residual=%.3e",
-            it, total, fit_term, reg_term, sum(s.iterations for s in cg_stats),
-            max(s.residual for s in cg_stats),
-        )
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "iteration %d: objective=%.6e fit=%.6e reg=%.6e cg_steps=%d "
+                "cg_worst_residual=%.3e",
+                it, total, fit_term, reg_term, sum(s.iterations for s in cg_stats),
+                max(s.residual for s in cg_stats),
+            )
         if prev_total is not None:
             # the fit term compares scores with an indicator of squared norm
             # n_clusters, so its rounding error is about n_clusters * eps; a

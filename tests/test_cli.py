@@ -352,6 +352,6 @@ class TestOracleCheckCommand:
         code, stdout, _ = run(capsys, "oracle-check", "--seed", "3")
         assert code == 0
         lines = stdout.splitlines()
-        assert len(lines) == 13
+        assert len(lines) == 14
         assert all(line.startswith("PASS ") for line in lines[:-1])
-        assert lines[-1] == "all 12 checks passed"
+        assert lines[-1] == "all 13 checks passed"

@@ -1,5 +1,7 @@
 """Clustering metrics: Hungarian-matched accuracy and NMI."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,43 @@ class TestNMI:
             pred = rng.integers(0, int(rng.integers(1, 6)), size=n)
             fast = nmi(Partition.from_labels(true), Partition.from_labels(pred))
             assert fast == pytest.approx(nmi_from_contingency(true, pred), abs=1e-12)
+
+    def test_equals_full_table_scan_bit_for_bit(self):
+        # the mutual-information sum over every cell in row-major order, the
+        # same scalar expression on the same numpy scalars: skipping the empty
+        # cells must leave each value unchanged to the last bit
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            kt, kp = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            true_p = Partition.from_labels(rng.integers(0, kt, n), k=kt)
+            pred_p = Partition.from_labels(rng.integers(0, kp, n), k=kp)
+            table = metrics._contingency(true_p, pred_p).astype(np.float64)
+            rows, cols = table.sum(axis=1), table.sum(axis=0)
+            info = 0.0
+            for t in range(kt):
+                for p in range(kp):
+                    if table[t, p] > 0:
+                        joint = table[t, p]
+                        info += (joint / n) * math.log(n * joint / (rows[t] * cols[p]))
+            h_true = float(-np.sum((rows[rows > 0] / n) * np.log(rows[rows > 0] / n)))
+            h_pred = float(-np.sum((cols[cols > 0] / n) * np.log(cols[cols > 0] / n)))
+            if h_true > 0.0 and h_pred > 0.0:
+                want = min(max(info / math.sqrt(h_true * h_pred), 0.0), 1.0)
+                assert nmi(true_p, pred_p) == want
+
+    def test_sparse_label_ids_match_their_contiguous_relabeling(self):
+        # a 5001-row table with three nonzero rows: only the nonzero cells are
+        # visited, in the order a full scan meets them, so the value is exact
+        rng = np.random.default_rng(19)
+        ids = np.array([3, 999, 5000])
+        for _ in range(20):
+            dense = rng.integers(0, 3, 60)
+            pred = rng.integers(0, 4, 60)
+            pred_p = Partition.from_labels(pred, k=4)
+            sparse = nmi(Partition.from_labels(ids[dense]), pred_p)
+            assert sparse == nmi(Partition.from_labels(dense), pred_p)
+            assert sparse == pytest.approx(nmi_from_contingency(ids[dense], pred), abs=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(12)

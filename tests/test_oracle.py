@@ -184,6 +184,7 @@ CHECK_NAMES = [
     "nmi-vs-contingency",
     "kmeans-vs-broadcast-lloyd",
     "baseline-vs-closed-form",
+    "lean-cg-vs-reference",
 ]
 
 
@@ -226,9 +227,23 @@ class TestRunChecks:
         results = run_checks(seed=0)
         assert [name for name, ok, _ in results if not ok] == ["baseline-vs-closed-form"]
 
+    def test_perturbed_cg_iterate_fails_only_its_check(self, monkeypatch):
+        # one ulp on one entry of each iterate is far inside every tolerance
+        # but breaks byte equality with the reference recurrence
+        exact = solver._conjugate_gradient
+
+        def off_by_one_ulp(*args):
+            x, stats = exact(*args)
+            x[0] = np.nextafter(x[0], np.inf)
+            return x, stats
+
+        monkeypatch.setattr(solver, "_conjugate_gradient", off_by_one_ulp)
+        results = run_checks(seed=0)
+        assert [name for name, ok, _ in results if not ok] == ["lean-cg-vs-reference"]
+
     def test_failed_check_fails_the_command(self, broken_operator, capsys):
         assert cli_main(["oracle-check"]) == 1
         captured = capsys.readouterr()
         assert "FAIL operator-vs-dense-system (" in captured.out
-        assert captured.out.count("PASS ") == 11
-        assert captured.err.strip() == "1 of 12 checks failed"
+        assert captured.out.count("PASS ") == 12
+        assert captured.err.strip() == "1 of 13 checks failed"

@@ -1,13 +1,14 @@
 """Property tests: a budgeted fit descends monotonically and keeps its budget,
-K-means assignment breaks distance ties as ``argmin`` does, and the label
-matcher attains the assignment optimum that scipy computes independently."""
+the matrix-free operator is bit for bit its defining expression, K-means
+assignment breaks distance ties as ``argmin`` does, and the label matcher
+attains the assignment optimum that scipy computes independently."""
 
 import numpy as np
 import pytest
 
 from mmclust.data import MultiViewDataset
 from mmclust.metrics import _max_weight_matching
-from mmclust.solver import VIEW_CG_STEPS, FitConfig, _first_argmin, fit
+from mmclust.solver import VIEW_CG_STEPS, FitConfig, _first_argmin, apply_H, fit
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,6 +48,28 @@ def test_budgeted_fit_descends_within_budget(
         full = i >= 2 and stalled[i - 2]
         limit = cg_max_iters if full else min(cg_max_iters, VIEW_CG_STEPS)
         assert all(s.iterations <= limit for s in rec.cg)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 40),
+    r=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.sampled_from([0.0, 1e-3, 0.37, 2.0]),
+)
+def test_apply_H_is_its_defining_expression(m, n, r, seed, gamma):
+    # in-place intermediates and a column-major result buffer leave every
+    # product and sum as in the one-line expression, down to the last bit
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    B = rng.standard_normal((n, r))
+    C = rng.standard_normal((r, r))
+    D = rng.uniform(0.1, 2.0, size=m)
+    x = rng.standard_normal(m * r)
+    X = x.reshape((m, r), order="F")
+    want = (A @ (B * ((B * (A.T @ X)) @ C)) + gamma * (D[:, None] * X)).ravel(order="F")
+    assert np.array_equal(apply_H(x, A, B, C, D, gamma), want)
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from mmclust import solver
 from mmclust.data import MultiViewDataset, augment, normalize_views
 from mmclust.oracle import (
     broadcast_lloyd_kmeans,
@@ -14,6 +15,7 @@ from mmclust.oracle import (
     full_tensor_predict,
     materialize_cp,
     random_model,
+    reference_conjugate_gradient,
 )
 from mmclust.solver import (
     CPWeights,
@@ -363,6 +365,35 @@ class TestConjugateGradient:
         assert len(calls) == stats.iterations + 1
         want = np.linalg.norm(b - h @ x) / np.linalg.norm(b)
         assert stats.residual == pytest.approx(want, rel=1e-9)
+
+    def test_in_place_updates_match_reference_bit_for_bit(self):
+        # an ill-conditioned system at a tight tolerance: the recurrence
+        # residual drifts below the target while the true one is above it,
+        # so the solve takes the confirm-and-restart branch many times
+        restarts = 0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+            h = (q * np.logspace(0, 8, 12)) @ q.T
+            b = rng.standard_normal(12)
+            calls = []
+
+            def matvec(x):
+                calls.append(1)
+                return h @ x
+
+            for budget in (4, 200):
+                x, stats = _conjugate_gradient(matvec, b, np.zeros(12), 1e-10, budget)
+                ref_x, ref_stats = reference_conjugate_gradient(
+                    lambda v: h @ v, b, np.zeros(12), 1e-10, budget
+                )
+                assert x.tobytes() == ref_x.tobytes()
+                assert stats == ref_stats
+                # matvecs beyond the start and the steps confirm a residual;
+                # each confirmation that did not end the solve restarted it
+                restarts += len(calls) - stats.iterations - 1 - int(stats.converged)
+                calls.clear()
+        assert restarts > 0
 
 
 class TestUpdateViewWeights:
@@ -745,6 +776,20 @@ class TestFit:
         for line, rec in zip(lines, report.trace):
             assert f"cg_steps={sum(s.iterations for s in rec.cg)} " in line
             assert f"cg_worst_residual={max(s.residual for s in rec.cg):.3e}" in line
+
+    def test_no_iteration_record_below_debug(self, caplog, monkeypatch):
+        # at WARNING the per-iteration message is neither emitted nor built
+        built, debug = [], solver.logger.debug
+
+        def recording_debug(*args, **kwargs):
+            built.append(args)
+            debug(*args, **kwargs)
+
+        monkeypatch.setattr(solver.logger, "debug", recording_debug)
+        with caplog.at_level(logging.WARNING, logger="mmclust.solver"):
+            fit(self._dataset(8), 3, FitConfig(rank=3, max_outer_iters=2))
+        assert not [r for r in caplog.records if r.getMessage().startswith("iteration")]
+        assert built == []
 
     def test_final_record_matches_recomputed_state(self):
         # the kept per-view projections must track the factors: recomputing
