@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle
 from .data import DataError, _read_labels, load_dataset
 from .metrics import Partition, accuracy, nmi
 from .solver import FitConfig, SolverError, fit
@@ -52,9 +51,7 @@ def _fit_config_from(args: argparse.Namespace, rank: int | None = None) -> FitCo
         outer_tol=args.tol,
         cg_tol=args.cg_tol,
         cg_max_iters=args.cg_max_iters,
-        irls_epsilon=args.irls_epsilon,
         seed=args.seed,
-        init_scale=args.init_scale,
     )
 
 
@@ -166,6 +163,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    # imported here so that no other command pays for loading the oracles
+    from . import oracle
+
     results = oracle.run_checks(seed=args.seed)
     failed = 0
     for name, ok, detail in results:
@@ -184,22 +184,26 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# flags that set a ``FitConfig`` field take their defaults from it
 def _add_model_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=0.01, help="regularization weight")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--gamma", type=float, default=FitConfig.gamma, help="regularization weight")
+    p.add_argument("--seed", type=int, default=FitConfig.seed, help="RNG seed")
     p.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
 
 def _add_fit_options(p: argparse.ArgumentParser, with_rank: bool = True) -> None:
     if with_rank:
-        p.add_argument("--rank", type=int, default=10, help="number of factor components")
+        p.add_argument("--rank", type=int, default=FitConfig.rank,
+                       help="number of factor components")
     _add_model_options(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="relative objective-change stop threshold")
-    p.add_argument("--max-iters", type=int, default=100, help="outer iteration cap")
-    p.add_argument("--cg-tol", type=float, default=1e-8, help="CG relative residual tolerance")
-    p.add_argument("--cg-max-iters", type=int, default=500, help="CG iteration cap")
-    p.add_argument("--irls-epsilon", type=float, default=1e-12, help="row-norm guard in the reweighting")
-    p.add_argument("--init-scale", type=float, default=0.1, help="uniform factor initialization scale")
+    p.add_argument("--tol", type=float, default=FitConfig.outer_tol,
+                   help="relative objective-change stop threshold")
+    p.add_argument("--max-iters", type=int, default=FitConfig.max_outer_iters,
+                   help="outer iteration cap")
+    p.add_argument("--cg-tol", type=float, default=FitConfig.cg_tol,
+                   help="CG relative residual tolerance")
+    p.add_argument("--cg-max-iters", type=int, default=FitConfig.cg_max_iters,
+                   help="CG iteration cap")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -51,14 +51,25 @@ class Partition:
         return self.labels.size
 
 
-def _contingency(true_p: Partition, pred_p: Partition) -> np.ndarray:
+def _contingency(
+    true_p: Partition, pred_p: Partition
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Contingency table over the labels that occur, with the true and the
+    predicted label of each row and column, in increasing order.
+
+    Labels without instances would only add all-zero rows and columns, so the
+    table's size is bounded by the instances, not by the largest label.
+    """
     if true_p.n != pred_p.n:
         raise ValueError(
             f"partition length mismatch: {true_p.n} vs {pred_p.n} instances"
         )
-    table = np.zeros((true_p.k, pred_p.k), dtype=np.int64)
-    np.add.at(table, (true_p.labels, pred_p.labels), 1)
-    return table
+    true_ids, true_idx = np.unique(true_p.labels, return_inverse=True)
+    pred_ids, pred_idx = np.unique(pred_p.labels, return_inverse=True)
+    shape = (true_ids.size, pred_ids.size)
+    cells = np.ravel_multi_index((true_idx, pred_idx), shape)
+    table = np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
+    return table, true_ids.tolist(), pred_ids.tolist()
 
 
 def _max_weight_matching(weights: list[list[int]]) -> list[int]:
@@ -119,22 +130,12 @@ def _max_weight_matching(weights: list[list[int]]) -> list[int]:
 
 
 def _matched_pairs(table: np.ndarray) -> list[tuple[int, int]]:
-    """(true, predicted) label pairs of a maximum matching on the contingency
-    table, over the labels that occur only.
-
-    Labels without instances add nothing to any matching, so dropping their
-    all-zero rows and columns bounds the matcher's size by the labels present,
-    not by the largest label.  The shorter side is matched into the longer.
-    """
-    true_ids = [t for t, x in enumerate(table.any(axis=1).tolist()) if x]
-    pred_ids = [p for p, x in enumerate(table.any(axis=0).tolist()) if x]
-    if len(true_ids) < table.shape[0] or len(pred_ids) < table.shape[1]:
-        table = table[np.ix_(true_ids, pred_ids)]
-    if len(pred_ids) <= len(true_ids):
-        matching = _max_weight_matching(table.T.tolist())
-        return [(true_ids[t], pred_ids[p]) for p, t in enumerate(matching)]
-    matching = _max_weight_matching(table.tolist())
-    return [(true_ids[t], pred_ids[p]) for t, p in enumerate(matching)]
+    """(row, column) cells of a maximum-weight matching on a contingency
+    table; the shorter side is matched into the longer."""
+    rows, cols = table.shape
+    if cols <= rows:
+        return [(t, p) for p, t in enumerate(_max_weight_matching(table.T.tolist()))]
+    return list(enumerate(_max_weight_matching(table.tolist())))
 
 
 def optimal_label_matching(true_p: Partition, pred_p: Partition) -> dict[int, int]:
@@ -149,8 +150,11 @@ def optimal_label_matching(true_p: Partition, pred_p: Partition) -> dict[int, in
     deterministic.  Accuracy depends only on the matched count, which every
     maximum matching shares, so it does not depend on this choice.
     """
-    mapping = {p: t for t, p in _matched_pairs(_contingency(true_p, pred_p))}
-    spare_true = sorted(set(range(true_p.k)) - set(mapping.values()))
+    table, true_ids, pred_ids = _contingency(true_p, pred_p)
+    mapping = {pred_ids[j]: true_ids[i] for i, j in _matched_pairs(table)}
+    # drawn lazily, so a large unused label range is never materialized
+    used_true = set(mapping.values())
+    spare_true = (t for t in range(true_p.k) if t not in used_true)
     spare_pred = (p for p in range(pred_p.k) if p not in mapping)
     mapping.update(zip(spare_pred, spare_true))
     return mapping
@@ -158,8 +162,8 @@ def optimal_label_matching(true_p: Partition, pred_p: Partition) -> dict[int, in
 
 def accuracy(true_p: Partition, pred_p: Partition) -> float:
     """Fraction of instances matched under the optimal label mapping."""
-    table = _contingency(true_p, pred_p)
-    matched = sum(int(table[t, p]) for t, p in _matched_pairs(table))
+    table = _contingency(true_p, pred_p)[0]
+    matched = sum(int(table[i, j]) for i, j in _matched_pairs(table))
     return matched / true_p.n
 
 
@@ -170,7 +174,7 @@ def nmi(true_p: Partition, pred_p: Partition) -> float:
     when both partitions are single-cluster (both entropies zero), 0.0 when
     exactly one entropy is zero.
     """
-    table = _contingency(true_p, pred_p).astype(np.float64)
+    table = _contingency(true_p, pred_p)[0].astype(np.float64)
     n = true_p.n
     true_counts = table.sum(axis=1)
     pred_counts = table.sum(axis=0)

@@ -261,12 +261,11 @@ def _plus_plus_centers(points, k, rng):
     return centers
 
 
-def broadcast_lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
-                           max_iters: int = 300):
+def broadcast_lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0):
     """Reference for ``solver.lloyd_kmeans``: the same random draws, reseed
-    rule and restart choice, with row-wise seeding, the N x K x D distance
-    broadcast, ``argmin`` over each point's row, and one masked mean per
-    cluster.  Returns the best restart's labels and inertia, and the number
+    rule, step cap and restart choice, with row-wise seeding, the N x K x D
+    distance broadcast, ``argmin`` over each point's row, and one masked mean
+    per cluster.  Returns the best restart's labels and inertia, and the number
     of empty-cluster reseeds over all restarts."""
     points = np.asarray(points, dtype=np.float64)
     n, k = points.shape[0], n_clusters
@@ -275,7 +274,7 @@ def broadcast_lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: 
     for _ in range(n_restarts):
         centers = _plus_plus_centers(points, k, rng)
         labels = np.full(n, -1, dtype=np.int64)
-        for _ in range(max_iters):
+        for _ in range(solver.KMEANS_MAX_ITERS):
             d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
             new_labels = d2.argmin(axis=1)
             for j in range(k):
@@ -457,7 +456,7 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         other = 1 - view
         B = z.z_views[other].T @ weights.view_factors[other]
         cf = weights.cluster_factor
-        d = solver.irls_diag(weights.view_factors[view], config.irls_epsilon)
+        d = solver.irls_diag(weights.view_factors[view])
         H = dense_H(A, B, cf.T @ cf, d, config.gamma)
         b = (A @ (B * (indicator.matrix @ cf))).ravel(order="F")
 
@@ -485,7 +484,7 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         emb = solver.compute_embedding(solver.project(z, weights))
         new_cf = solver.update_cluster_weights(emb, weights.cluster_factor, indicator, config)
         gram = emb.T @ emb
-        p = solver.irls_diag(weights.cluster_factor, config.irls_epsilon)
+        p = solver.irls_diag(weights.cluster_factor)
         lhs = new_cf @ gram + config.gamma * p[:, None] * new_cf
         target = indicator.matrix.T @ emb
         worst = max(

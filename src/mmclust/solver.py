@@ -72,6 +72,13 @@ CLUSTER_SOLVE_TOL = 1e-8
 # ``FitConfig.cg_max_iters``); fewer steps make each outer iteration cheaper
 # but less effective, and at 2 or 3 steps recovery accuracy measurably drops
 VIEW_CG_STEPS = 4
+# floor on a row norm in the reweighting diagonal, which keeps a zero row's
+# weight finite
+IRLS_EPSILON = 1e-12
+# half-width of the uniform draws of the initial factors
+INIT_SCALE = 0.1
+# cap on Lloyd steps per K-means restart
+KMEANS_MAX_ITERS = 300
 
 
 class SolverError(RuntimeError):
@@ -164,7 +171,7 @@ class ClusterIndicator:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameters and solver controls for a fit run."""
+    """Model parameters (``rank``, ``gamma``) and solver controls for a fit run."""
 
     rank: int = 10
     gamma: float = 0.01
@@ -172,24 +179,19 @@ class FitConfig:
     outer_tol: float = 1e-6
     cg_tol: float = 1e-8
     cg_max_iters: int = 500
-    irls_epsilon: float = 1e-12
     seed: int = 0
-    init_scale: float = 0.1
 
     def __post_init__(self):
-        reals = (self.gamma, self.outer_tol, self.cg_tol, self.irls_epsilon, self.init_scale)
-        if not np.all(np.isfinite(reals)):
-            raise ValueError("gamma, tolerances and init_scale must be finite")
+        if not np.all(np.isfinite((self.gamma, self.outer_tol, self.cg_tol))):
+            raise ValueError("gamma and tolerances must be finite")
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.max_outer_iters < 1 or self.cg_max_iters < 1:
             raise ValueError("iteration limits must be positive")
-        if self.outer_tol <= 0 or self.cg_tol <= 0 or self.irls_epsilon <= 0:
+        if self.outer_tol <= 0 or self.cg_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -305,18 +307,18 @@ def init_model(
 ) -> tuple[CPWeights, ClusterIndicator]:
     """Draw the initial factors and indicator deterministically from the seed.
 
-    Factors are i.i.d. uniform on ``[-init_scale, init_scale]``; the indicator
+    Factors are i.i.d. uniform on ``[-INIT_SCALE, INIT_SCALE]``; the indicator
     is the orthonormal factor (reduced QR) of a standard-Gaussian N x K matrix.
     """
     n = z.n_instances
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     rng = np.random.default_rng(config.seed)
-    s = config.init_scale
     factors = tuple(
-        rng.uniform(-s, s, size=(zv.shape[0], config.rank)) for zv in z.z_views
+        rng.uniform(-INIT_SCALE, INIT_SCALE, size=(zv.shape[0], config.rank))
+        for zv in z.z_views
     )
-    cluster = rng.uniform(-s, s, size=(n_clusters, config.rank))
+    cluster = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n_clusters, config.rank))
     q, _ = np.linalg.qr(rng.standard_normal((n, n_clusters)))
     return CPWeights(factors, cluster), ClusterIndicator(q)
 
@@ -380,13 +382,11 @@ def objective(
     return fit_term + reg_term, fit_term, reg_term
 
 
-def irls_diag(factor, epsilon: float) -> np.ndarray:
-    """Row-reweighting diagonal: entry i is ``1 / (2 max(||row i||, epsilon))``."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+def irls_diag(factor) -> np.ndarray:
+    """Row-reweighting diagonal: entry i is ``1 / (2 max(||row i||, IRLS_EPSILON))``."""
     f = np.asarray(factor, dtype=np.float64)
     norms = np.sqrt(np.sum(f * f, axis=1))
-    return 1.0 / (2.0 * np.maximum(norms, epsilon))
+    return 1.0 / (2.0 * np.maximum(norms, IRLS_EPSILON))
 
 
 def apply_H(x_vec, A, B, C, D_diag, gamma: float) -> np.ndarray:
@@ -501,9 +501,9 @@ def update_view_weights(
     ``embedding`` is the product of the other views' projections (N x R) and
     ``factor`` the current factor (M x R) of the view with data ``z_view``
     (M x N).  The reweighting diagonal comes from the factor being updated
-    (``irls_diag`` with ``config.irls_epsilon``), so the system is the
-    majorizer anchored at the current factor.  Its stationarity condition is
-    an SPD linear system in the stacked factor; it is applied matrix-free
+    (``irls_diag``, row norms floored at ``IRLS_EPSILON``), so the system is
+    the majorizer anchored at the current factor.  Its stationarity condition
+    is an SPD linear system in the stacked factor; it is applied matrix-free
     (``apply_H``) and solved by conjugate gradient, warm-started from the
     current factor.  CG stops at relative residual
     ``config.cg_tol`` or after ``max_iters`` steps (default
@@ -520,7 +520,7 @@ def update_view_weights(
     elif max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     C = cluster_factor.T @ cluster_factor
-    d = irls_diag(factor, config.irls_epsilon)
+    d = irls_diag(factor)
     E = z_view @ (embedding * (indicator.matrix @ cluster_factor))
 
     def matvec(v):
@@ -542,8 +542,8 @@ def update_cluster_weights(
 
     ``embedding`` is the product of all view projections (N x R).  The
     equation ``W @ G + gamma * P @ W = T`` (G the embedding Gram matrix, P the
-    diagonal reweighting computed from the current cluster factor with
-    ``config.irls_epsilon``, T the indicator/embedding cross term, gamma
+    diagonal reweighting computed from the current cluster factor, row norms
+    floored at ``IRLS_EPSILON``; T the indicator/embedding cross term; gamma
     ``config.gamma``) splits into K independent R x R SPD systems because P
     is diagonal; row k solves ``(G + gamma * p_k I) w = t_k``.  A singular row
     system (possible only at gamma = 0 with a rank-deficient embedding) gets a
@@ -555,7 +555,7 @@ def update_cluster_weights(
         raise ValueError(f"cluster factor {cluster_factor.shape}, expected K x {r}")
     gram = embedding.T @ embedding
     target = indicator.matrix.T @ embedding
-    shifts = config.gamma * irls_diag(cluster_factor, config.irls_epsilon)
+    shifts = config.gamma * irls_diag(cluster_factor)
     systems = gram[None, :, :] + shifts[:, None, None] * np.eye(r)[None, :, :]
     bound = CLUSTER_SOLVE_TOL * (1.0 + float(np.linalg.norm(target)))
 
@@ -647,7 +647,7 @@ def _first_argmin(d2):
     return (k - 1) - ((d2 == d2.min(axis=0)) * rank).max(axis=0)
 
 
-def _lloyd_once(points, points_t, point_sq, k, rng, max_iters):
+def _lloyd_once(points, points_t, point_sq, k, rng):
     """One seeded Lloyd run on the N x D ``points``, given their D x N copy
     ``points_t`` and squared norms ``point_sq``; returns (labels, inertia).
 
@@ -655,10 +655,10 @@ def _lloyd_once(points, points_t, point_sq, k, rng, max_iters):
     and assigns each point to the first center that attains its column
     minimum, ``argmin``'s tie rule.  The run stops when an assignment repeats,
     before the means are recomputed from unchanged labels, or after
-    ``max_iters`` steps."""
+    ``KMEANS_MAX_ITERS`` steps."""
     centers = _plus_plus_centers(points, points_t, k, rng)
     labels = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = centers @ points_t
         d2 *= -2.0
         d2 += point_sq
@@ -689,10 +689,10 @@ def _lloyd_once(points, points_t, point_sq, k, rng, max_iters):
     return labels, inertia
 
 
-def lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
-                 max_iters: int = 300) -> np.ndarray:
-    """Best-of-``n_restarts`` Lloyd iterations with distance-weighted seeding,
-    deterministic for a fixed seed and BLAS thread count.
+def lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0) -> np.ndarray:
+    """Best-of-``n_restarts`` Lloyd runs of at most ``KMEANS_MAX_ITERS`` steps
+    with distance-weighted seeding, deterministic for a fixed seed and BLAS
+    thread count.
 
     The N x D ``points`` are copied once into a contiguous D x N array, and
     their squared norms computed once, for all restarts; distances are formed
@@ -705,10 +705,8 @@ def lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
         raise ValueError(
             f"need a 2-d point array with at least {n_clusters} rows, got {pts.shape}"
         )
-    if n_restarts < 1 or max_iters < 1:
-        raise ValueError(
-            f"n_restarts and max_iters must be at least 1, got {n_restarts} and {max_iters}"
-        )
+    if n_restarts < 1:
+        raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     # every squared distance, and their sum over the points, is at most
@@ -725,7 +723,7 @@ def lloyd_kmeans(points, n_clusters: int, n_restarts: int = 20, seed: int = 0,
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(n_restarts):
-        labels, inertia = _lloyd_once(pts, pts_t, point_sq, n_clusters, rng, max_iters)
+        labels, inertia = _lloyd_once(pts, pts_t, point_sq, n_clusters, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels

@@ -141,7 +141,7 @@ def test_criterion_3_subproblem_residuals():
             # independent recomputation of the linear-system residual
             c = weights.cluster_factor.T @ weights.cluster_factor
             e = a @ (b * (indicator.matrix @ weights.cluster_factor))
-            d = irls_diag(weights.view_factors[view], config.irls_epsilon)
+            d = irls_diag(weights.view_factors[view])
             lhs = apply_H(new_factor.ravel(order="F"), a, b, c, d, config.gamma)
             worst_cg = max(
                 worst_cg,
@@ -152,7 +152,7 @@ def test_criterion_3_subproblem_residuals():
         new_cf = update_cluster_weights(emb, weights.cluster_factor, indicator, config)
         gram = emb.T @ emb
         rhs = indicator.matrix.T @ emb
-        p = irls_diag(weights.cluster_factor, config.irls_epsilon)
+        p = irls_diag(weights.cluster_factor)
         defect = np.linalg.norm(new_cf @ gram + config.gamma * p[:, None] * new_cf - rhs)
         scaled = defect / (1.0 + np.linalg.norm(rhs))
         worst_cluster = max(worst_cluster, scaled)

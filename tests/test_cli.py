@@ -1,5 +1,6 @@
 """Command-line interface: end-to-end runs, defaults, and failure modes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from mmclust import cli
 from mmclust.cli import cli_main
 from mmclust.metrics import Partition, accuracy
+from mmclust.solver import FitConfig
 
 
 def run(capsys, *argv):
@@ -137,6 +139,17 @@ class TestFitAndEval:
         assert report["config"]["gamma"] == 0.01
         assert report["config"]["rank"] == 10
 
+    def test_solver_defaults_come_from_fit_config(self, small_dataset, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code, _, err = run(
+            capsys,
+            "fit", str(small_dataset / "manifest.json"),
+            "--k", "3", "--rank", "4", "--seed", "7", "--out", str(report_path),
+        )
+        assert code == 0, err
+        report = json.loads(report_path.read_text())
+        assert report["config"] == dataclasses.asdict(FitConfig(rank=4, seed=7))
+
     def test_report_schema(self, small_dataset, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code, _, _ = run(
@@ -183,7 +196,7 @@ class TestFitAndEval:
         assert code == 1
         assert "error:" in err and "n_clusters" in err
 
-    @pytest.mark.parametrize("flag,value", [("--cg-tol", "nan"), ("--init-scale", "inf")])
+    @pytest.mark.parametrize("flag,value", [("--cg-tol", "nan"), ("--gamma", "inf")])
     def test_non_finite_setting_is_diagnosed(self, small_dataset, capsys, flag, value):
         code, _, err = run(
             capsys, "fit", str(small_dataset / "manifest.json"), "--k", "3", flag, value
@@ -246,14 +259,21 @@ class TestBaseline:
         assert code == 0
         assert "converged=True iterations=1 " in stdout.splitlines()[0]
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--max-iters", "5"), ("--tol", "1e-6"), ("--cg-tol", "1e-8"),
-        ("--cg-max-iters", "5"), ("--irls-epsilon", "1e-12"), ("--init-scale", "0.1"),
+    @pytest.mark.parametrize("command,flag,value", [
+        # the baseline cases keep their flag-value ids
+        *(pytest.param("baseline", flag, value, id=f"{flag}-{value}") for flag, value in [
+            ("--max-iters", "5"), ("--tol", "1e-6"), ("--cg-tol", "1e-8"),
+            ("--cg-max-iters", "5"), ("--irls-epsilon", "1e-12"), ("--init-scale", "0.1"),
+        ]),
+        ("fit", "--irls-epsilon", "1e-12"), ("fit", "--init-scale", "0.1"),
+        ("sweep", "--irls-epsilon", "1e-12"), ("sweep", "--init-scale", "0.1"),
     ])
-    def test_baseline_rejects_solver_controls(self, small_dataset, capsys, flag, value):
-        # the baseline has no loop and no CG, so it takes no solver controls
+    def test_baseline_rejects_solver_controls(self, small_dataset, capsys, command, flag, value):
+        # the baseline has no loop and no CG, so it takes no solver controls;
+        # the row-norm floor and the initial draw width are solver constants,
+        # so no command takes them
         code, _, err = run(
-            capsys, "baseline", str(small_dataset / "manifest.json"), "--k", "3", flag, value,
+            capsys, command, str(small_dataset / "manifest.json"), "--k", "3", flag, value,
         )
         assert code == 2
         assert "unrecognized arguments" in err

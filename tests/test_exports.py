@@ -5,6 +5,7 @@ and defined in that module; a rename, inlining or un-export silently drops
 that function's per-layer metric, so the names it reports on are pinned here.
 """
 
+import dataclasses
 import inspect
 import pathlib
 
@@ -62,3 +63,11 @@ def test_package_root_exports_the_library_surface():
         "Partition", "accuracy", "nmi",
     }
     assert all(hasattr(mmclust, name) for name in mmclust.__all__)
+
+
+def test_fit_config_fields_are_pinned():
+    # the harness builds FitConfig(rank, gamma, max_outer_iters, seed) and
+    # reads report.config.cg_max_iters; a new setting updates this pin on purpose
+    assert [f.name for f in dataclasses.fields(solver.FitConfig)] == [
+        "rank", "gamma", "max_outer_iters", "outer_tol", "cg_tol", "cg_max_iters", "seed",
+    ]

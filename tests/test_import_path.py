@@ -4,7 +4,8 @@ A fresh interpreter imports ``mmclust`` and ``mmclust.cli`` and runs ``gen``,
 ``baseline`` and ``eval`` on a tiny dataset, so the label matching behind
 ``eval``'s accuracy runs too.  No ``scipy`` module may be loaded after those
 calls: an import moved inside a function would still cost its start-up time,
-only at the first call instead of at import.
+only at the first call instead of at import.  Nor may ``mmclust.oracle``,
+which only ``oracle-check`` needs.
 """
 
 import os
@@ -28,6 +29,7 @@ assert cli_main([
 ]) == 0
 assert cli_main(["baseline", f"{out}/manifest.json", "--k", "3", "--out", f"{out}/report.json"]) == 0
 assert cli_main(["eval", f"{out}/report.json", f"{out}/labels.csv"]) == 0
+print("oracle loaded:", "mmclust.oracle" in sys.modules)
 print("scipy modules:", sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -41,4 +43,4 @@ def test_cli_run_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "ACC " in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+    assert proc.stdout.splitlines()[-2:] == ["oracle loaded: False", "scipy modules: []"]

@@ -1,6 +1,7 @@
 """Clustering metrics: Hungarian-matched accuracy and NMI."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,30 @@ class TestOptimalLabelMatching:
         assert accuracy(true, pred) == 0.8
         assert len(optimal_label_matching(true, pred)) == 401
         assert shapes == [(3, 3), (3, 3)]
+
+    def test_large_label_id_allocates_by_instances(self):
+        # one instance of 300 labelled 2,000,000: a table or a spare-label set
+        # sized by the largest ID would take tens of MB
+        rng = np.random.default_rng(21)
+        ids = np.array([0, 1, 2, 2_000_000])
+        dense = rng.integers(0, 3, 300)
+        dense[17] = 3
+        raw_p, dense_p = Partition.from_labels(ids[dense]), Partition.from_labels(dense)
+        pred_p = Partition.from_labels(rng.integers(0, 3, 300), k=3)
+        for fn in (accuracy, nmi, optimal_label_matching):
+            tracemalloc.start()
+            try:
+                fn(raw_p, pred_p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, f"{fn.__name__} peaked at {peak} bytes"
+        assert accuracy(raw_p, pred_p) == accuracy(dense_p, pred_p)
+        assert nmi(raw_p, pred_p) == nmi(dense_p, pred_p)
+        dense_map = optimal_label_matching(dense_p, pred_p)
+        assert optimal_label_matching(raw_p, pred_p) == {
+            p: int(ids[t]) for p, t in dense_map.items()
+        }
 
 
 class TestMaxWeightMatching:
@@ -216,7 +241,9 @@ class TestNMI:
             kt, kp = int(rng.integers(2, 9)), int(rng.integers(2, 9))
             true_p = Partition.from_labels(rng.integers(0, kt, n), k=kt)
             pred_p = Partition.from_labels(rng.integers(0, kp, n), k=kp)
-            table = metrics._contingency(true_p, pred_p).astype(np.float64)
+            # the dense table over every label in [0, k), zero rows included
+            table = np.zeros((kt, kp))
+            np.add.at(table, (true_p.labels, pred_p.labels), 1.0)
             rows, cols = table.sum(axis=1), table.sum(axis=0)
             info = 0.0
             for t in range(kt):

@@ -21,6 +21,8 @@ from mmclust.solver import (
     CPWeights,
     ClusterIndicator,
     FitConfig,
+    INIT_SCALE,
+    IRLS_EPSILON,
     VIEW_CG_STEPS,
     SolverError,
     _conjugate_gradient,
@@ -107,9 +109,9 @@ class TestInitModel:
     def test_factor_scale_bounded(self):
         rng = np.random.default_rng(4)
         z = random_augmented(rng, (3, 3), 6)
-        w, _ = init_model(z, FitConfig(rank=4, seed=0, init_scale=0.25), 2)
-        for fmat in (*w.view_factors, w.cluster_factor):
-            assert np.max(np.abs(fmat)) <= 0.25
+        w, _ = init_model(z, FitConfig(rank=4, seed=0), 2)
+        peaks = [np.max(np.abs(fmat)) for fmat in (*w.view_factors, w.cluster_factor)]
+        assert INIT_SCALE / 2 < max(peaks) and max(peaks) <= INIT_SCALE
 
 
 class TestComputeEmbedding:
@@ -240,26 +242,22 @@ class TestObjective:
 
 class TestIrlsDiag:
     def test_three_four_five_row(self):
-        diag = irls_diag(np.array([[3.0, 4.0]]), 1e-12)
+        diag = irls_diag(np.array([[3.0, 4.0]]))
         assert diag[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_row_guard(self):
-        diag = irls_diag(np.zeros((1, 3)), 1e-12)
-        assert diag[0] == pytest.approx(5e11, rel=1e-12)
+        diag = irls_diag(np.zeros((1, 3)))
+        assert diag[0] == pytest.approx(1.0 / (2.0 * IRLS_EPSILON), rel=1e-12)
 
     def test_guard_formula_everywhere(self):
         rng = np.random.default_rng(16)
         mat = rng.standard_normal((8, 3))
         mat[2] = 0.0
-        diag = irls_diag(mat, 1e-9)
+        diag = irls_diag(mat)
         assert np.all(diag > 0)
         for i, row in enumerate(mat):
-            expected = 1.0 / (2.0 * max(np.linalg.norm(row), 1e-9))
+            expected = 1.0 / (2.0 * max(np.linalg.norm(row), IRLS_EPSILON))
             assert diag[i] == pytest.approx(expected, rel=1e-14)
-
-    def test_nonpositive_epsilon_rejected(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            irls_diag(np.ones((2, 2)), 0.0)
 
 
 class TestFitConfigValidation:
@@ -275,16 +273,11 @@ class TestFitConfigValidation:
             {"cg_max_iters": 0},
             {"outer_tol": 0.0},
             {"cg_tol": -1e-8},
-            {"irls_epsilon": 0.0},
-            {"init_scale": 0.0},
             {"gamma": float("nan")},
             {"gamma": float("inf")},
             {"outer_tol": float("nan")},
             {"outer_tol": float("inf")},
             {"cg_tol": float("nan")},
-            {"irls_epsilon": float("inf")},
-            {"init_scale": float("inf")},
-            {"init_scale": float("nan")},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -413,7 +406,7 @@ class TestUpdateViewWeights:
             # recompute the residual independently of the CG bookkeeping
             C = w.cluster_factor.T @ w.cluster_factor
             E = A @ (B * (f.matrix @ w.cluster_factor))
-            d = irls_diag(w.view_factors[0], cfg.irls_epsilon)
+            d = irls_diag(w.view_factors[0])
             lhs = apply_H(new_w.ravel(order="F"), A, B, C, d, cfg.gamma)
             rel = np.linalg.norm(lhs - E.ravel(order="F")) / np.linalg.norm(E)
             assert rel <= cfg.cg_tol * 1.01
@@ -426,7 +419,7 @@ class TestUpdateViewWeights:
         new_w, stats = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
         assert stats.converged
         E = A @ (B * (f.matrix @ w.cluster_factor))
-        d = irls_diag(w.view_factors[0], cfg.irls_epsilon)
+        d = irls_diag(w.view_factors[0])
         limit = E / (cfg.gamma * d[:, None])
         # regularization dominates: the solve degenerates to rowwise scaling
         np.testing.assert_allclose(new_w, limit, rtol=1e-2, atol=1e-9)
@@ -445,7 +438,7 @@ class TestUpdateViewWeights:
         B = compute_embedding(project(z, w), exclude=0)
         new_w, _ = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
         E = A @ (B * (f.matrix @ w.cluster_factor))
-        d = irls_diag(w.view_factors[0], cfg.irls_epsilon)
+        d = irls_diag(w.view_factors[0])
         H = dense_H(A, B, np.eye(k), d, cfg.gamma)
         ref = np.linalg.solve(H, E.ravel(order="F")).reshape(new_w.shape, order="F")
         np.testing.assert_allclose(new_w, ref, rtol=1e-6, atol=1e-12)
@@ -484,7 +477,7 @@ class TestUpdateViewWeights:
             factors = list(w.view_factors)
             factors[0] = solved
             w2 = CPWeights(tuple(factors), w.cluster_factor)
-            d2 = irls_diag(w2.view_factors[0], cfg.irls_epsilon)
+            d2 = irls_diag(w2.view_factors[0])
             C = w2.cluster_factor.T @ w2.cluster_factor
             E = A @ (B * (f.matrix @ w2.cluster_factor))
             b = E.ravel(order="F")
@@ -535,7 +528,7 @@ class TestUpdateClusterWeights:
             emb = compute_embedding(project(z, w))
             new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=gamma))
             gram = emb.T @ emb
-            p = irls_diag(w.cluster_factor, 1e-12)
+            p = irls_diag(w.cluster_factor)
             lhs = new_cf @ gram + gamma * p[:, None] * new_cf
             rhs = f.matrix.T @ emb
             assert np.linalg.norm(lhs - rhs) < 1e-8 * (1 + np.linalg.norm(rhs))
@@ -578,7 +571,7 @@ class TestUpdateClusterWeights:
         gamma = 0.05
         emb = compute_embedding(project(z, w))
         new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=gamma))
-        p = irls_diag(w.cluster_factor, 1e-12)
+        p = irls_diag(w.cluster_factor)
 
         def surrogate(cf):
             resid = emb @ cf.T - f.matrix
@@ -674,10 +667,6 @@ class TestExtractLabels:
     def test_zero_restarts_rejected(self):
         with pytest.raises(ValueError, match="n_restarts"):
             lloyd_kmeans(np.eye(4), 3, n_restarts=0)
-
-    def test_zero_iterations_rejected(self):
-        with pytest.raises(ValueError, match="max_iters"):
-            lloyd_kmeans(np.eye(4), 3, max_iters=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_rejected(self, bad):
