@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, _read_labels, load_dataset
+from .data import DataError, _as_labels, _read_labels, load_dataset
 from .metrics import Partition, accuracy, nmi
 from .solver import FitConfig, SolverError, fit
 from .synth import SynthSpec, baseline_regression_cluster, generate
@@ -80,11 +80,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         _write_matrix(out_dir / name, view)
         view_files.append(name)
     _write_labels(out_dir / "labels.csv", dataset.labels)
-    manifest = {
-        "views": view_files,
-        "labels": "labels.csv",
-        "names": [f"view{i}" for i in range(1, spec.n_views + 1)],
-    }
+    manifest = {"views": view_files, "labels": "labels.csv"}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -150,8 +146,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise DataError(f"{report_path}: invalid report JSON ({exc})") from None
     try:
-        pred = np.asarray(report["labels"], dtype=np.int64)
+        pred = _as_labels(report["labels"])
         k = int(report["n_clusters"])
+    except DataError as exc:
+        raise DataError(f"{report_path}: {exc}") from None
     except (KeyError, TypeError, ValueError):
         raise DataError(f"{report_path}: report lacks 'labels'/'n_clusters' fields") from None
     true = _read_labels(Path(args.labels), pred.size)

@@ -34,6 +34,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_labels(values) -> np.ndarray:
+    """Class IDs as a read-only int64 vector: non-empty, 1-d, integer-valued
+    and non-negative.  IDs need not be contiguous, since the metrics work
+    over the IDs that occur."""
+    labels = np.asarray(values)
+    if labels.ndim != 1 or labels.size < 1:
+        raise DataError(f"labels must be a non-empty vector, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        if not np.all(labels == np.floor(labels)):
+            raise DataError("labels must be integers")
+    labels = labels.astype(np.int64)
+    if labels.min() < 0:
+        raise DataError("labels must be non-negative")
+    return _freeze(labels)
+
+
 @dataclass(frozen=True)
 class MultiViewDataset:
     """Feature matrices of one instance set observed through several views.
@@ -44,15 +60,12 @@ class MultiViewDataset:
         View ``v`` has shape ``(D_v, N)``: one row per feature, one column per
         instance.  All views must agree on ``N`` and contain only finite values.
     labels : ndarray, optional
-        Length-``N`` integer cluster ids, 0-based and covering a contiguous
-        range (every id in ``[0, max]`` occurs at least once).
-    names : sequence of str, optional
-        One identifier per view, for logs and reports.
+        Length-``N`` non-negative integer class IDs; they need not be
+        contiguous.
     """
 
     views: tuple[np.ndarray, ...]
     labels: np.ndarray | None = None
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         views = tuple(np.ascontiguousarray(v, dtype=np.float64) for v in self.views)
@@ -75,29 +88,12 @@ class MultiViewDataset:
         object.__setattr__(self, "views", tuple(_freeze(v) for v in views))
 
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.ndim != 1 or labels.shape[0] != n:
+            labels = _as_labels(self.labels)
+            if labels.size != n:
                 raise DataError(
                     f"labels must be a length-{n} vector, got shape {labels.shape}"
                 )
-            if not np.issubdtype(labels.dtype, np.integer):
-                if not np.all(labels == np.floor(labels)):
-                    raise DataError("labels must be integers")
-            labels = labels.astype(np.int64)
-            if labels.min() < 0:
-                raise DataError("labels must be non-negative")
-            present = np.unique(labels)
-            if present.size != labels.max() + 1:
-                raise DataError("labels must cover a contiguous range starting at 0")
-            object.__setattr__(self, "labels", _freeze(labels))
-
-        if self.names is not None:
-            names = tuple(str(s) for s in self.names)
-            if len(names) != len(views):
-                raise DataError(
-                    f"got {len(names)} view names for {len(views)} views"
-                )
-            object.__setattr__(self, "names", names)
+            object.__setattr__(self, "labels", labels)
 
     @property
     def n_views(self) -> int:
@@ -252,10 +248,10 @@ def _read_labels(path: Path, n: int) -> np.ndarray:
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     """Load a dataset described by a JSON manifest.
 
-    The manifest is an object ``{"views": [...], "labels": ..., "names": [...]}``
-    where ``views`` lists per-view matrix files, ``labels`` (optional) names a
-    file with one integer per instance, and ``names`` (optional) gives view
-    identifiers.  Relative paths are resolved against the manifest's directory.
+    The manifest is an object ``{"views": [...], "labels": ...}`` where
+    ``views`` lists per-view matrix files and ``labels`` (optional) names a
+    file with one integer per instance; other keys are ignored.  Relative
+    paths are resolved against the manifest's directory.
     """
     path = Path(manifest_path)
     if not path.is_file():
@@ -271,13 +267,9 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         raise DataError(f"{path}: manifest lists no views")
     if not all(isinstance(p, str) for p in view_paths):
         raise DataError(f"{path}: every 'views' entry must be a file name string")
-    labels_file, names = manifest.get("labels"), manifest.get("names")
+    labels_file = manifest.get("labels")
     if labels_file is not None and not isinstance(labels_file, str):
         raise DataError(f"{path}: 'labels' must be a file name string")
-    if names is not None and not (
-        isinstance(names, list) and all(isinstance(s, str) for s in names)
-    ):
-        raise DataError(f"{path}: 'names' must be a list of strings")
 
     base = path.parent
     views = [_read_matrix(base / p) for p in view_paths]
@@ -290,14 +282,14 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
             )
 
     labels = _read_labels(base / labels_file, n) if labels_file else None
-    return MultiViewDataset(tuple(views), labels=labels, names=names)
+    return MultiViewDataset(tuple(views), labels=labels)
 
 
 def normalize_views(dataset: MultiViewDataset) -> MultiViewDataset:
     """Scale each view by one scalar so its squared entries sum to one.
 
-    Relative proportions within a view are preserved; labels and names carry
-    over unchanged.  An all-zero view cannot be normalized and is rejected.
+    Relative proportions within a view are preserved; labels carry over
+    unchanged.  An all-zero view cannot be normalized and is rejected.
     """
     scaled = []
     for i, v in enumerate(dataset.views):
@@ -305,7 +297,7 @@ def normalize_views(dataset: MultiViewDataset) -> MultiViewDataset:
         if total == 0.0:
             raise DataError(f"degenerate view {i}: all entries are zero")
         scaled.append(v / np.sqrt(total))
-    return MultiViewDataset(tuple(scaled), labels=dataset.labels, names=dataset.names)
+    return MultiViewDataset(tuple(scaled), labels=dataset.labels)
 
 
 def augment(dataset: MultiViewDataset) -> AugmentedViews:

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Partition", "optimal_label_matching", "accuracy", "nmi"]
+from .data import _as_labels
+
+__all__ = ["Partition", "accuracy", "nmi"]
 
 
 @dataclass(frozen=True)
@@ -25,18 +27,11 @@ class Partition:
     k: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or labels.size < 1:
-            raise ValueError(f"labels must be a non-empty vector, got shape {labels.shape}")
-        if not np.issubdtype(labels.dtype, np.integer):
-            if not np.all(labels == np.floor(labels)):
-                raise ValueError("labels must be integers")
-        labels = labels.astype(np.int64)
+        labels = _as_labels(self.labels)
         if self.k < 1:
             raise ValueError("k must be positive")
-        if labels.min() < 0 or labels.max() >= self.k:
+        if labels.max() >= self.k:
             raise ValueError(f"labels must lie in [0, {self.k})")
-        labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
     @classmethod
@@ -136,28 +131,6 @@ def _matched_pairs(table: np.ndarray) -> list[tuple[int, int]]:
     if cols <= rows:
         return [(t, p) for p, t in enumerate(_max_weight_matching(table.T.tolist()))]
     return list(enumerate(_max_weight_matching(table.tolist())))
-
-
-def optimal_label_matching(true_p: Partition, pred_p: Partition) -> dict[int, int]:
-    """Injective map from predicted to true labels maximizing matched instances.
-
-    The map has ``min(true_p.k, pred_p.k)`` entries, so when the cluster
-    counts differ the predicted labels left over are omitted.  The labels
-    that occur are paired by an exact maximum-weight matching on their
-    contingency table; labels without instances then pair off in increasing
-    order.  Several matchings may match the most instances: it returns the
-    one the matcher's augmenting-path search meets first, which is
-    deterministic.  Accuracy depends only on the matched count, which every
-    maximum matching shares, so it does not depend on this choice.
-    """
-    table, true_ids, pred_ids = _contingency(true_p, pred_p)
-    mapping = {pred_ids[j]: true_ids[i] for i, j in _matched_pairs(table)}
-    # drawn lazily, so a large unused label range is never materialized
-    used_true = set(mapping.values())
-    spare_true = (t for t in range(true_p.k) if t not in used_true)
-    spare_pred = (p for p in range(pred_p.k) if p not in mapping)
-    mapping.update(zip(spare_pred, spare_true))
-    return mapping
 
 
 def accuracy(true_p: Partition, pred_p: Partition) -> float:

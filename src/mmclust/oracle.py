@@ -76,10 +76,6 @@ class DenseTensor:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.dims)
-
     def entry(self, *index: int) -> float:
         """Entry at a multi-index, resolved with column-major strides."""
         if len(index) != len(self.dims):

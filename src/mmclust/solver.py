@@ -132,10 +132,6 @@ class CPWeights:
         return self.cluster_factor.shape[1]
 
     @property
-    def n_clusters(self) -> int:
-        return self.cluster_factor.shape[0]
-
-    @property
     def n_parameters(self) -> int:
         """Free parameters actually stored: R * (K + sum of augmented view dims)."""
         return sum(f.size for f in self.view_factors) + self.cluster_factor.size
@@ -159,10 +155,6 @@ class ClusterIndicator:
                 f"indicator columns are not orthonormal (max deviation {gram_err:.3e})"
             )
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_instances(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def n_clusters(self) -> int:

@@ -53,8 +53,9 @@ class TestGen:
         assert code == 0
         assert "manifest.json" in stdout
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["views"] == ["view1.csv", "view2.csv", "view3.csv"]
-        assert manifest["labels"] == "labels.csv"
+        assert manifest == {
+            "views": ["view1.csv", "view2.csv", "view3.csv"], "labels": "labels.csv",
+        }
         labels = (out / "labels.csv").read_text().split()
         assert len(labels) == 12
 
@@ -237,6 +238,35 @@ class TestFitAndEval:
         code, raw_out, err = run(capsys, "eval", str(report_path), str(raw))
         assert code == 0, err
         assert raw_out == dense_out
+
+    def test_manifest_with_raw_class_ids(self, small_dataset, capsys):
+        # fit and baseline never read labels, and sweep scores the IDs that
+        # occur, so raw IDs change no command's output
+        labels = np.loadtxt(small_dataset / "labels.csv", dtype=np.int64)
+        (small_dataset / "raw.csv").write_text("".join(f"{[7, 999, 5000][y]}\n" for y in labels))
+        manifest = json.loads((small_dataset / "manifest.json").read_text())
+        raw_manifest = small_dataset / "raw.json"
+        raw_manifest.write_text(json.dumps({**manifest, "labels": "raw.csv"}))
+        for argv in (("fit", "--max-iters", "3"), ("baseline",)):
+            code, _, err = run(capsys, argv[0], str(raw_manifest), "--k", "3", *argv[1:])
+            assert code == 0, err
+        sweep = ("--k", "3", "--ranks", "4,6", "--max-iters", "3")
+        code, raw_out, err = run(capsys, "sweep", str(raw_manifest), *sweep)
+        assert code == 0, err
+        code, dense_out, _ = run(capsys, "sweep", str(small_dataset / "manifest.json"), *sweep)
+        assert code == 0
+        assert "ACC" in raw_out and raw_out == dense_out
+
+    def test_eval_rejects_fractional_report_labels(self, tmp_path, capsys):
+        # casting to int would truncate these to 0 1 1 0 and score ACC 1
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"labels": [0.9, 1.2, 1.7, 0.1], "n_clusters": 2}))
+        labels = tmp_path / "y.csv"
+        labels.write_text("0\n1\n1\n0\n")
+        code, out, err = run(capsys, "eval", str(report), str(labels))
+        assert code == 1
+        assert "ACC" not in out
+        assert f"{report}: labels must be integers" in err
 
 
 class TestBaseline:

@@ -16,7 +16,7 @@ from mmclust.data import (
 )
 
 
-def write_dataset(tmp_path, views, labels=None, names=None, sep=","):
+def write_dataset(tmp_path, views, labels=None, sep=","):
     view_files = []
     for i, view in enumerate(views):
         name = f"view{i}.csv"
@@ -27,8 +27,6 @@ def write_dataset(tmp_path, views, labels=None, names=None, sep=","):
     if labels is not None:
         (tmp_path / "labels.csv").write_text("\n".join(str(v) for v in labels) + "\n")
         manifest["labels"] = "labels.csv"
-    if names is not None:
-        manifest["names"] = list(names)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     return path
@@ -57,22 +55,24 @@ class TestLoadDataset:
         ds = load_dataset(path)
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
 
-    def test_names_round_trip(self, tmp_path):
-        path = write_dataset(tmp_path, [[[1.0]], [[2.0]]], names=["text", "image"])
-        assert load_dataset(path).names == ("text", "image")
+    def test_unknown_manifest_keys_ignored(self, tmp_path):
+        # manifests written before view names were dropped still load
+        path = write_dataset(tmp_path, [[[1.0]], [[2.0]]])
+        manifest = json.loads(path.read_text())
+        manifest["names"] = ["text", 2]
+        path.write_text(json.dumps(manifest))
+        assert load_dataset(path).n_views == 2
 
     @pytest.mark.parametrize(
         "field,value,message",
         [
             ("views", [1, 2], "'views' entry"),
             ("labels", 5, "'labels'"),
-            ("names", "ab", "'names'"),
-            ("names", ["a", 2], "'names'"),
         ],
     )
     def test_manifest_field_types(self, tmp_path, field, value, message):
         # a wrong JSON type gets a one-line diagnostic, not a TypeError from
-        # path handling, and a string is not split into per-view names
+        # path handling
         path = write_dataset(tmp_path, [[[1.0, 2.0]], [[3.0, 4.0]]])
         manifest = json.loads(path.read_text())
         manifest[field] = value
@@ -218,9 +218,11 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="non-negative"):
             MultiViewDataset((np.ones((2, 3)),), labels=np.array([0, -1, 1]))
 
-    def test_non_contiguous_labels_rejected(self):
-        with pytest.raises(DataError, match="contiguous"):
-            MultiViewDataset((np.ones((2, 3)),), labels=np.array([0, 2, 0]))
+    def test_non_contiguous_labels_kept(self):
+        # the metrics score the IDs that occur, so gaps are not an error
+        ds = MultiViewDataset((np.ones((2, 3)),), labels=np.array([7, 999, 7]))
+        np.testing.assert_array_equal(ds.labels, [7, 999, 7])
+        assert ds.labels.dtype == np.int64 and not ds.labels.flags.writeable
 
     def test_empty_view_rejected(self):
         with pytest.raises(DataError):
@@ -267,13 +269,10 @@ class TestNormalizeViews:
         with pytest.raises(DataError, match="degenerate view"):
             normalize_views(MultiViewDataset((np.zeros((2, 3)),)))
 
-    def test_labels_and_names_carry_over(self):
-        ds = MultiViewDataset(
-            (np.ones((2, 2)),), labels=np.array([0, 1]), names=("a",)
-        )
+    def test_labels_carry_over(self):
+        ds = MultiViewDataset((np.ones((2, 2)),), labels=np.array([0, 1]))
         out = normalize_views(ds)
         np.testing.assert_array_equal(out.labels, [0, 1])
-        assert out.names == ("a",)
 
 
 class TestAugment:
