@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, _as_labels, _read_labels, load_dataset
+from .data import DataError, _as_count, _as_labels, _read_labels, load_dataset
 from .metrics import Partition, accuracy, nmi
 from .solver import FitConfig, SolverError, fit
 from .synth import SynthSpec, baseline_regression_cluster, generate
@@ -147,7 +147,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise DataError(f"{report_path}: invalid report JSON ({exc})") from None
     try:
         pred = _as_labels(report["labels"])
-        k = int(report["n_clusters"])
+        k = _as_count(report["n_clusters"], "n_clusters")
     except DataError as exc:
         raise DataError(f"{report_path}: {exc}") from None
     except (KeyError, TypeError, ValueError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,19 +36,50 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _as_labels(values) -> np.ndarray:
-    """Class IDs as a read-only int64 vector: non-empty, 1-d, integer-valued
-    and non-negative.  IDs need not be contiguous, since the metrics work
-    over the IDs that occur."""
+    """Class IDs as a read-only int64 vector: non-empty, 1-d, integer-valued,
+    within the int64 range and non-negative.  Booleans and strings are not
+    IDs.  IDs need not be contiguous, since the metrics work over the IDs that
+    occur."""
     labels = np.asarray(values)
     if labels.ndim != 1 or labels.size < 1:
         raise DataError(f"labels must be a non-empty vector, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
+    kind = labels.dtype.kind
+    # numpy types a list that mixes booleans with integers as integers
+    if kind == "b" or (
+        not isinstance(values, np.ndarray) and any(isinstance(v, bool) for v in values)
+    ):
+        raise DataError("labels must be integers, not booleans")
+    if kind == "O" and all(isinstance(v, int) for v in labels):
+        # numpy leaves Python integers untyped only when 64 bits cannot hold them
+        raise DataError("labels must lie within the int64 range")
+    if kind not in "iuf":
+        raise DataError("labels must be integers")
+    if kind == "f":
+        if not np.all(np.isfinite(labels)):
+            raise DataError("labels must be finite")
         if not np.all(labels == np.floor(labels)):
             raise DataError("labels must be integers")
+        # 2**63 is the least float above the int64 range
+        if labels.min() < -(2.0**63) or labels.max() >= 2.0**63:
+            raise DataError("labels must lie within the int64 range")
+    elif kind == "u" and labels.max() > np.iinfo(np.int64).max:
+        raise DataError("labels must lie within the int64 range")
     labels = labels.astype(np.int64)
     if labels.min() < 0:
         raise DataError("labels must be non-negative")
     return _freeze(labels)
+
+
+def _as_count(value, name: str) -> int:
+    """A positive count read from parsed JSON: an integer, or a float with an
+    integer value.  Booleans, strings and non-finite numbers are not counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{name} must be a positive integer, got {value!r}")
+    if isinstance(value, float) and not (math.isfinite(value) and value == math.floor(value)):
+        raise DataError(f"{name} must be a positive integer, got {value!r}")
+    if value < 1:
+        raise DataError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

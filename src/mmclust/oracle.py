@@ -14,6 +14,11 @@ independent SVD and against a plain ridge alternation from random starts.
 They share no code with the solver, synth or metrics modules, so agreement
 between the two is evidence, not tautology; the K-means reference keeps its
 own row-wise copy of the seeding, which consumes the same random draws.
+The one exception is the reference for ``fit``'s outer iterations, which
+rebuilds every view system from scratch but calls the solver's operator,
+diagonal, cluster and indicator updates: it checks how ``fit`` computes
+and reuses the operands of its sweep, and must give its factors and
+indicator byte for byte.
 ``run_checks`` is the one place where the two meet; the ``oracle-check``
 command prints its verdicts and the tests reuse its references and fixtures.
 Sizes are capped to keep runs at desk scale.
@@ -29,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from . import metrics, solver, synth
-from .data import MultiViewDataset, augment
+from .data import MultiViewDataset, augment, normalize_views
 
 __all__ = [
     "DenseTensor",
@@ -39,12 +44,14 @@ __all__ = [
     "full_tensor_predict",
     "dense_H",
     "random_model",
+    "view_operands",
     "exhaustive_accuracy",
     "nmi_from_contingency",
     "set_partitions",
     "broadcast_lloyd_kmeans",
     "ridge_alternation",
     "reference_conjugate_gradient",
+    "reference_sweeps",
     "run_checks",
 ]
 
@@ -185,6 +192,24 @@ def random_model(rng, dims, n, k, rank):
     )
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return z, weights, solver.ClusterIndicator(q)
+
+
+def view_operands(z, weights, indicator, view):
+    """The arguments before ``config`` of ``solver.update_view_weights`` for
+    ``view``, built as ``fit`` builds them: the view's data, the product of
+    the other views' projections, the factor, its projection and reweighting
+    diagonal, and the cluster factor's Gram matrix and indicator product."""
+    projections = solver.project(z, weights)
+    factor, cluster = weights.view_factors[view], weights.cluster_factor
+    return (
+        z.z_views[view],
+        solver.compute_embedding(projections, exclude=view),
+        factor,
+        projections[view],
+        solver.irls_diag(factor),
+        cluster.T @ cluster,
+        indicator.matrix @ cluster,
+    )
 
 
 def exhaustive_accuracy(true_labels, pred_labels) -> float:
@@ -353,6 +378,45 @@ def reference_conjugate_gradient(matvec, b, x0, tol, max_iters):
     return x, solver.CGStats(iterations, residual, residual <= tol)
 
 
+def reference_sweeps(z, weights, indicator, config, sweeps: int):
+    """Reference for the outer iterations of ``solver.fit`` while its view
+    updates run at the step budget: every view system is built from scratch,
+    with the other views' projections multiplied onto ones, ``C.T @ C``,
+    ``Y @ C`` and ``irls_diag`` of the factor recomputed per view, and solved
+    by ``reference_conjugate_gradient`` from ``b - apply_H(x0)``; the cluster
+    solve takes ``irls_diag`` of the cluster factor.  Returns the view factors,
+    cluster factor, indicator and per-sweep CG diagnostics."""
+    factors, cluster = list(weights.view_factors), weights.cluster_factor
+    budget = min(config.cg_max_iters, solver.VIEW_CG_STEPS)
+    cg = []
+
+    def embedding(exclude=None):
+        out = np.ones((z.n_instances, config.rank))
+        for u, (zu, fu) in enumerate(zip(z.z_views, factors)):
+            if u != exclude:
+                out = out * (zu.T @ fu)
+        return out
+
+    for _ in range(sweeps):
+        stats = []
+        for v, A in enumerate(z.z_views):
+            B = embedding(exclude=v)
+            C = cluster.T @ cluster
+            d = solver.irls_diag(factors[v])
+            b = (A @ (B * (indicator.matrix @ cluster))).ravel(order="F")
+            x, s = reference_conjugate_gradient(
+                lambda vec: solver.apply_H(vec, A, B, C, d, config.gamma),
+                b, factors[v].ravel(order="F"), config.cg_tol, budget,
+            )
+            factors[v] = np.ascontiguousarray(x.reshape(factors[v].shape, order="F"))
+            stats.append(s)
+        emb = embedding()
+        cluster = solver.update_cluster_weights(emb, solver.irls_diag(cluster), indicator, config)
+        indicator = solver.update_indicator(emb @ cluster.T)
+        cg.append(tuple(stats))
+    return factors, cluster, indicator, cg
+
+
 def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Compare every fast path with its reference on random draws from
     ``seed``; returns one (name, ok, detail) tuple per check, in a fixed order.
@@ -432,11 +496,7 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     for _ in range(10):
         z, weights, indicator = random_model(rng, (3, 4), n=8, k=3, rank=3)
         view = int(rng.integers(0, 2))
-        B = solver.compute_embedding(solver.project(z, weights), exclude=view)
-        _, stats = solver.update_view_weights(
-            z.z_views[view], B, weights.view_factors[view], weights.cluster_factor,
-            indicator, config,
-        )
+        _, stats = solver.update_view_weights(*view_operands(z, weights, indicator, view), config)
         ok = ok and (stats.converged or stats.iterations >= config.cg_max_iters)
         worst = max(worst, stats.residual)
     record("view-solve-residual", ok, f"max rel residual {worst:.3e} over 10 draws")
@@ -448,22 +508,17 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     for _ in range(4):
         z, weights, indicator = random_model(rng, (3, 4), n=8, k=3, rank=3)
         view = int(rng.integers(0, 2))
-        A = z.z_views[view]
-        other = 1 - view
-        B = z.z_views[other].T @ weights.view_factors[other]
-        cf = weights.cluster_factor
-        d = solver.irls_diag(weights.view_factors[view])
-        H = dense_H(A, B, cf.T @ cf, d, config.gamma)
-        b = (A @ (B * (indicator.matrix @ cf))).ravel(order="F")
+        operands = view_operands(z, weights, indicator, view)
+        A, B, _, _, d, gram, target = operands
+        H = dense_H(A, B, gram, d, config.gamma)
+        b = (A @ (B * target)).ravel(order="F")
 
         def quadratic(x):
             return 0.5 * float(x @ H @ x) - float(b @ x)
 
         start = quadratic(weights.view_factors[view].ravel(order="F"))
         for budget in (1, 2, 5):
-            new, stats = solver.update_view_weights(
-                A, B, weights.view_factors[view], cf, indicator, config, max_iters=budget
-            )
+            new, stats = solver.update_view_weights(*operands, config, max_iters=budget)
             change = (quadratic(new.ravel(order="F")) - start) / max(abs(start), 1.0)
             ok = ok and change < 0.0 and stats.iterations <= budget
             worst = max(worst, change)
@@ -478,9 +533,9 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     for _ in range(10):
         z, weights, indicator = random_model(rng, (3, 4), n=8, k=3, rank=3)
         emb = solver.compute_embedding(solver.project(z, weights))
-        new_cf = solver.update_cluster_weights(emb, weights.cluster_factor, indicator, config)
-        gram = emb.T @ emb
         p = solver.irls_diag(weights.cluster_factor)
+        new_cf = solver.update_cluster_weights(emb, p, indicator, config)
+        gram = emb.T @ emb
         lhs = new_cf @ gram + config.gamma * p[:, None] * new_cf
         target = indicator.matrix.T @ emb
         worst = max(
@@ -622,7 +677,7 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
             return solver.apply_H(v, A, B, C, d, 0.1)
 
         for rhs, budget in ((b, solver.VIEW_CG_STEPS), (b, cap), (np.zeros(m * r), cap)):
-            x, stats = solver._conjugate_gradient(matvec, rhs, x0, tol, budget)
+            x, stats = solver._conjugate_gradient(matvec, rhs, x0, rhs - matvec(x0), tol, budget)
             ref_x, ref_stats = reference_conjugate_gradient(matvec, rhs, x0, tol, budget)
             same = same and x.tobytes() == ref_x.tobytes() and stats == ref_stats
             if rhs is b and budget == cap:
@@ -633,6 +688,43 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         f"iterates {'identical' if same else 'differ'}; budget "
         f"{solver.VIEW_CG_STEPS}, to tol in {'/'.join(str(s.iterations) for s in solved)} "
         f"steps ({sum(s.converged for s in solved)} converged) and zero rhs on shapes "
+        f"{', '.join('x'.join(map(str, s)) for s in VIEW_SYSTEM_SHAPES)}",
+    )
+
+    # fit's sweeps, which build the cluster-side operands once per sweep, take
+    # each reweighting diagonal from the row norms of the last objective and
+    # each start residual from the cached projection, against the reference
+    # sweeps that recompute all of them per view; three sweeps at the step
+    # budget on random three-view data of each benchmark view-system shape, with
+    # factors and indicator compared byte for byte and the diagnostics exactly
+    same, steps = True, 0
+    sweeps = 3
+    for m, n, r in VIEW_SYSTEM_SHAPES:
+        dataset = MultiViewDataset(tuple(rng.standard_normal((m - 1, n)) for _ in range(3)))
+        config = solver.FitConfig(
+            rank=r, gamma=1e-3, max_outer_iters=sweeps, seed=int(rng.integers(2**31))
+        )
+        report = solver.fit(dataset, 3, config)
+        z = augment(normalize_views(dataset))
+        factors, cluster, indicator, cg = reference_sweeps(
+            z, *solver.init_model(z, config, 3), config, sweeps
+        )
+        same = (
+            same
+            and [rec.cg for rec in report.trace] == cg
+            and all(
+                f.tobytes() == ref.tobytes()
+                for f, ref in zip(report.weights.view_factors, factors)
+            )
+            and report.weights.cluster_factor.tobytes() == cluster.tobytes()
+            and report.indicator.matrix.tobytes() == indicator.matrix.tobytes()
+        )
+        steps += sum(s.iterations for sweep in cg for s in sweep)
+    record(
+        "fit-sweep-vs-reference",
+        same,
+        f"factors and indicator {'identical' if same else 'differ'} after {sweeps} sweeps "
+        f"({steps} CG steps) on shapes "
         f"{', '.join('x'.join(map(str, s)) for s in VIEW_SYSTEM_SHAPES)}",
     )
 

@@ -8,15 +8,18 @@ reweighted least-squares update per view factor (an SPD linear system applied
 matrix-free and improved by a few warm-started conjugate-gradient steps), an
 exact row-decoupled SPD solve for the cluster factor, and an exact
 nearest-orthonormal update of the relaxed cluster indicator.  Row-sparsity
-regularization enters through iteratively reweighted diagonal matrices; each
-factor update computes its diagonal from the factor it updates, right before
-its solve, so every block minimizes a majorizer anchored at its current value.
+regularization enters through iteratively reweighted diagonal matrices, each
+taken from the current value of the factor it reweights, so every block
+minimizes a majorizer anchored there.
 ``fit`` runs these updates in the one outer loop, which records the trace and
 applies the stop rule; the concatenated-view baseline in ``synth`` has a
 closed form, needs no loop, and shares the report types and label extraction.
-Each block update takes only its own operands, and ``fit`` keeps the per-view
-projections ``z_v.T @ W_v`` between updates, refreshing one after each view
-update.
+``fit`` computes each operand once and hands it to the updates that share it:
+it keeps the per-view projections ``z_v.T @ W_v`` between updates, refreshing
+one after each view update, and from it each view update forms its CG start
+residual; it builds ``C.T @ C`` and ``Y @ C`` once per outer iteration for all
+view updates; and the row norms the objective computes at the end of an
+iteration become the next iteration's reweighting diagonals.
 
 The view update is inexact by design (inexact block majorization-minimization,
 Hunter & Lange 2004; Razaviyayn, Hong & Luo 2013): the reweighted system is
@@ -338,10 +341,13 @@ def compute_embedding(projections, exclude: int | None = None) -> np.ndarray:
     """
     if exclude is not None and not 0 <= exclude < len(projections):
         raise ValueError(f"exclude {exclude} out of range for {len(projections)} views")
-    out = np.ones(projections[0].shape)
-    for v, p in enumerate(projections):
-        if v != exclude:
-            out *= p
+    included = [p for v, p in enumerate(projections) if v != exclude]
+    if not included:
+        return np.ones(projections[0].shape)
+    # a copy of the first factor, which is ``1 * p`` exactly
+    out = np.array(included[0], dtype=np.float64)
+    for p in included[1:]:
+        out *= p
     return out
 
 
@@ -355,30 +361,41 @@ def objective(
     weights: CPWeights,
     indicator: ClusterIndicator,
     gamma: float,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float, list[np.ndarray]]:
     """Evaluate the training objective from the score matrix of ``weights``.
 
-    Returns ``(total, fit_term, reg_term)`` where the fit term is the squared
-    Frobenius distance between scores and indicator, and the regularizer is
-    ``gamma`` times the sum over all factors of their row-norm sums (the
-    row-sparsity norm).
+    Returns ``(total, fit_term, reg_term, row_norms)`` where the fit term is
+    the squared Frobenius distance between scores and indicator, and the
+    regularizer is ``gamma`` times the sum over all factors of their row-norm
+    sums (the row-sparsity norm).  ``row_norms`` lists those row norms per
+    factor, the view factors in order and then the cluster factor; ``fit``
+    turns them into the next sweep's reweighting diagonals.
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     resid = scores - indicator.matrix
     fit_term = float(np.sum(resid * resid))
+    row_norms = [_row_norms(f) for f in (*weights.view_factors, weights.cluster_factor)]
     row_norm_sum = 0.0
-    for f in (*weights.view_factors, weights.cluster_factor):
-        row_norm_sum += float(np.sum(np.sqrt(np.sum(f * f, axis=1))))
+    for norms in row_norms:
+        row_norm_sum += float(np.sum(norms))
     reg_term = gamma * row_norm_sum
-    return fit_term + reg_term, fit_term, reg_term
+    return fit_term + reg_term, fit_term, reg_term, row_norms
+
+
+def _row_norms(factor: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row."""
+    return np.sqrt(np.sum(factor * factor, axis=1))
+
+
+def _reweighting(row_norms: np.ndarray) -> np.ndarray:
+    """``irls_diag`` of a factor with these row norms."""
+    return 1.0 / (2.0 * np.maximum(row_norms, IRLS_EPSILON))
 
 
 def irls_diag(factor) -> np.ndarray:
     """Row-reweighting diagonal: entry i is ``1 / (2 max(||row i||, IRLS_EPSILON))``."""
-    f = np.asarray(factor, dtype=np.float64)
-    norms = np.sqrt(np.sum(f * f, axis=1))
-    return 1.0 / (2.0 * np.maximum(norms, IRLS_EPSILON))
+    return _reweighting(_row_norms(np.asarray(factor, dtype=np.float64)))
 
 
 def apply_H(x_vec, A, B, C, D_diag, gamma: float) -> np.ndarray:
@@ -411,8 +428,15 @@ def apply_H(x_vec, A, B, C, D_diag, gamma: float) -> np.ndarray:
     X = x_vec.reshape((m, r), order="F")
     inner = A.T @ X
     inner *= B
+    return _apply_H_tail(inner, X, A, B, C, D_diag, gamma)
+
+
+def _apply_H_tail(inner, X, A, B, C, D_diag, gamma):
+    """``apply_H`` from ``inner = (A.T @ X) * B`` on, with the same operations;
+    returns vec(H X) as a new column-major vector."""
     inner = inner @ C
     inner *= B
+    m, r = X.shape
     out = np.empty(m * r)
     # a column-major view, so the vec of the sum is ``out`` itself
     total = out.reshape((m, r), order="F")
@@ -422,8 +446,15 @@ def apply_H(x_vec, A, B, C, D_diag, gamma: float) -> np.ndarray:
     return out
 
 
-def _conjugate_gradient(matvec, b, x0, tol, max_iters):
-    """Plain CG on an SPD operator, warm-started at x0.
+def _frobenius(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` by its own operations, without its dispatch."""
+    flat = a.ravel(order="K")
+    return math.sqrt(float(flat.dot(flat)))
+
+
+def _conjugate_gradient(matvec, b, x0, r0, tol, max_iters):
+    """Plain CG on an SPD operator, warm-started at x0 with initial residual
+    ``r0 = b - H x0`` (the caller's, so a cached product can supply it).
 
     Stops when the true residual satisfies ||b - H x|| <= tol * ||b|| or after
     max_iters matvec steps.  Recurrence-based convergence is verified against
@@ -436,11 +467,11 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
     bit those of ``oracle.reference_conjugate_gradient``.
     """
     b = np.asarray(b, dtype=np.float64)
-    b_norm = float(np.linalg.norm(b))
+    b_norm = _frobenius(b)
     if b_norm == 0.0:
         return np.zeros_like(b), CGStats(0, 0.0, True)
     x = np.array(x0, dtype=np.float64, copy=True)
-    r = b - matvec(x)
+    r = np.array(r0, dtype=np.float64, copy=True)
     if not np.all(np.isfinite(r)):
         raise SolverError("conjugate gradient: non-finite residual at start")
     target = tol * b_norm
@@ -475,7 +506,8 @@ def _conjugate_gradient(matvec, b, x0, tol, max_iters):
         rs = rs_new
     if not np.all(np.isfinite(x)):
         raise SolverError("conjugate gradient diverged: non-finite iterate")
-    residual = float(np.linalg.norm(r)) / b_norm
+    # ``rs`` is ``r @ r`` for the ``r`` the loop leaves
+    residual = math.sqrt(rs) / b_norm
     return x, CGStats(iterations, residual, residual <= tol)
 
 
@@ -483,8 +515,10 @@ def update_view_weights(
     z_view: np.ndarray,
     embedding: np.ndarray,
     factor: np.ndarray,
-    cluster_factor: np.ndarray,
-    indicator: ClusterIndicator,
+    projection: np.ndarray,
+    diag: np.ndarray,
+    cluster_gram: np.ndarray,
+    cluster_target: np.ndarray,
     config: FitConfig,
     max_iters: int | None = None,
 ) -> tuple[np.ndarray, CGStats]:
@@ -492,64 +526,80 @@ def update_view_weights(
 
     ``embedding`` is the product of the other views' projections (N x R) and
     ``factor`` the current factor (M x R) of the view with data ``z_view``
-    (M x N).  The reweighting diagonal comes from the factor being updated
-    (``irls_diag``, row norms floored at ``IRLS_EPSILON``), so the system is
-    the majorizer anchored at the current factor.  Its stationarity condition
-    is an SPD linear system in the stacked factor; it is applied matrix-free
-    (``apply_H``) and solved by conjugate gradient, warm-started from the
-    current factor.  CG stops at relative residual
-    ``config.cg_tol`` or after ``max_iters`` steps (default
-    ``config.cg_max_iters``).  A smaller ``max_iters`` gives an inexact update
-    that still never raises the subproblem's quadratic above its value at the
-    warm start.  Returns the updated factor matrix and the CG diagnostics.
+    (M x N); ``projection`` is that view's ``z_view.T @ factor``.  ``diag`` is
+    the reweighting diagonal of the factor being updated (``irls_diag``), so
+    the system is the majorizer anchored at the current factor.
+    ``cluster_gram`` is ``C.T @ C`` and ``cluster_target`` is ``Y @ C`` for
+    the cluster factor C and indicator matrix Y; they are the same for every
+    view of a sweep.  The stationarity condition is an SPD linear system in
+    the stacked factor; it is applied matrix-free (``apply_H``) and solved by
+    conjugate gradient, warm-started from the current factor, whose residual
+    there is formed from ``projection`` with ``apply_H``'s operations.  CG
+    stops at relative residual ``config.cg_tol`` or after ``max_iters`` steps
+    (default ``config.cg_max_iters``).  A smaller ``max_iters`` gives an
+    inexact update that still never raises the subproblem's quadratic above
+    its value at the warm start.  Returns the updated factor matrix and the CG
+    diagnostics.
     """
-    if embedding.shape[0] != z_view.shape[1]:
+    m, n = z_view.shape
+    r = embedding.shape[1]
+    if embedding.shape[0] != n:
         raise ValueError(f"embedding {embedding.shape} does not match view {z_view.shape}")
-    if factor.shape != (z_view.shape[0], embedding.shape[1]):
+    if factor.shape != (m, r):
         raise ValueError(f"factor {factor.shape} does not match view {z_view.shape}")
+    if (projection.shape != (n, r) or diag.shape != (m,) or cluster_gram.shape != (r, r)
+            or cluster_target.shape != (n, r)):
+        raise ValueError(
+            f"inconsistent operands: projection {projection.shape}, diag {diag.shape}, "
+            f"cluster_gram {cluster_gram.shape}, cluster_target {cluster_target.shape}"
+        )
     if max_iters is None:
         max_iters = config.cg_max_iters
     elif max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    C = cluster_factor.T @ cluster_factor
-    d = irls_diag(factor)
-    E = z_view @ (embedding * (indicator.matrix @ cluster_factor))
+    b = (z_view @ (embedding * cluster_target)).ravel(order="F")
+    r0 = b - _apply_H_tail(
+        projection * embedding, factor, z_view, embedding, cluster_gram, diag, config.gamma
+    )
 
     def matvec(v):
-        return apply_H(v, z_view, embedding, C, d, config.gamma)
+        return apply_H(v, z_view, embedding, cluster_gram, diag, config.gamma)
 
     x, stats = _conjugate_gradient(
-        matvec, E.ravel(order="F"), factor.ravel(order="F"), config.cg_tol, max_iters
+        matvec, b, factor.ravel(order="F"), r0, config.cg_tol, max_iters
     )
     return np.ascontiguousarray(x.reshape(factor.shape, order="F")), stats
 
 
 def update_cluster_weights(
     embedding: np.ndarray,
-    cluster_factor: np.ndarray,
+    diag: np.ndarray,
     indicator: ClusterIndicator,
     config: FitConfig,
 ) -> np.ndarray:
     """Exactly solve the cluster-factor stationarity equation.
 
-    ``embedding`` is the product of all view projections (N x R).  The
-    equation ``W @ G + gamma * P @ W = T`` (G the embedding Gram matrix, P the
-    diagonal reweighting computed from the current cluster factor, row norms
-    floored at ``IRLS_EPSILON``; T the indicator/embedding cross term; gamma
-    ``config.gamma``) splits into K independent R x R SPD systems because P
-    is diagonal; row k solves ``(G + gamma * p_k I) w = t_k``.  A singular row
-    system (possible only at gamma = 0 with a rank-deficient embedding) gets a
-    diagonal jitter and a warning.  The returned matrix satisfies the equation
-    with Frobenius residual at most ``1e-8 * (1 + ||T||_F)``.
+    ``embedding`` is the product of all view projections (N x R) and ``diag``
+    the reweighting diagonal of the current cluster factor (``irls_diag``, row
+    norms floored at ``IRLS_EPSILON``).  The equation
+    ``W @ G + gamma * P @ W = T`` (G the embedding Gram matrix, P = diag(diag),
+    T the indicator/embedding cross term; gamma ``config.gamma``) splits into
+    K independent R x R SPD systems because P is diagonal; row k solves
+    ``(G + gamma * p_k I) w = t_k``.  A singular row system (possible only at
+    gamma = 0 with a rank-deficient embedding) gets a diagonal jitter and a
+    warning.  The returned matrix satisfies the equation with Frobenius
+    residual at most ``1e-8 * (1 + ||T||_F)``.
     """
     r = embedding.shape[1]
-    if cluster_factor.shape != (indicator.n_clusters, r):
-        raise ValueError(f"cluster factor {cluster_factor.shape}, expected K x {r}")
+    if diag.shape != (indicator.n_clusters,):
+        raise ValueError(
+            f"diag {diag.shape}, expected one entry per cluster ({indicator.n_clusters})"
+        )
     gram = embedding.T @ embedding
     target = indicator.matrix.T @ embedding
-    shifts = config.gamma * irls_diag(cluster_factor)
+    shifts = config.gamma * diag
     systems = gram[None, :, :] + shifts[:, None, None] * np.eye(r)[None, :, :]
-    bound = CLUSTER_SOLVE_TOL * (1.0 + float(np.linalg.norm(target)))
+    bound = CLUSTER_SOLVE_TOL * (1.0 + _frobenius(target))
 
     def equation_defect(w):
         return target - (w @ gram + shifts[:, None] * w)
@@ -566,7 +616,7 @@ def update_cluster_weights(
         return w
 
     solution = solve_refined(systems)
-    if solution is None or float(np.linalg.norm(equation_defect(solution))) > bound:
+    if solution is None or _frobenius(equation_defect(solution)) > bound:
         # singular row system: possible only at gamma = 0 with a rank-deficient
         # embedding, where the cross term still lies in the Gram range, so a
         # small diagonal shift recovers an accurate solution
@@ -579,7 +629,7 @@ def update_cluster_weights(
         solution = solve_refined(systems + jitter * np.eye(r)[None, :, :])
         if solution is None:
             raise SolverError("cluster-factor solve failed even with jitter")
-        defect_norm = float(np.linalg.norm(equation_defect(solution)))
+        defect_norm = _frobenius(equation_defect(solution))
         if defect_norm > bound:
             raise SolverError(
                 f"cluster-factor solve residual {defect_norm:.3e} "
@@ -651,8 +701,8 @@ def _lloyd_once(points, points_t, point_sq, k, rng):
     centers = _plus_plus_centers(points, points_t, k, rng)
     labels = None
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = centers @ points_t
-        d2 *= -2.0
+        # scaling by -2 is exact, so folding it into the centers changes no bit
+        d2 = (-2.0 * centers) @ points_t
         d2 += point_sq
         d2 += np.einsum("ij,ij->i", centers, centers)[:, None]
         # a narrow integer key, which the stable sort below orders by radix
@@ -736,8 +786,13 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
 
     Pipeline: normalize each view, append the constant feature, draw the
     initial state from ``config.seed``, then per outer iteration update every
-    view factor, the cluster factor, and the indicator, in that order; each
-    factor update derives its reweighting diagonal from the factor itself.
+    view factor, the cluster factor, and the indicator, in that order.  The
+    cluster-side operands ``C.T @ C`` and ``Y @ C`` of the view systems are
+    computed once per iteration, each view update starts CG from the residual
+    formed with its kept projection, and each factor's reweighting diagonal
+    comes from the row norms the previous iteration's objective computed (the
+    initial factors' norms in the first iteration), so it is still anchored at
+    the factor's current value.
     Each view update takes at most ``min(config.cg_max_iters, VIEW_CG_STEPS)``
     warm-started CG steps, which keeps the objective non-increasing.
     The objective is recorded after every outer iteration; the loop stops when
@@ -768,6 +823,9 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
     weights, indicator = init_model(z, config, n_clusters)
     factors, cluster = list(weights.view_factors), weights.cluster_factor
     projections = project(z, weights)
+    # row norms of the current factors, views then cluster; after the first
+    # sweep they are the ones the objective computed
+    row_norms = [_row_norms(f) for f in (*factors, cluster)]
     cg_budget = min(config.cg_max_iters, VIEW_CG_STEPS)
 
     trace: list[IterationRecord] = []
@@ -777,20 +835,28 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
     for it in range(1, config.max_outer_iters + 1):
         t_iter = time.perf_counter()
         budget = config.cg_max_iters if full_solves else cg_budget
+        # the cluster side of every view system is fixed during the sweep
+        cluster_gram = cluster.T @ cluster
+        cluster_target = indicator.matrix @ cluster
         cg_stats = []
         for v, zv in enumerate(z.z_views):
             factors[v], stats = update_view_weights(
-                zv, compute_embedding(projections, exclude=v), factors[v], cluster,
-                indicator, config, max_iters=budget,
+                zv, compute_embedding(projections, exclude=v), factors[v], projections[v],
+                _reweighting(row_norms[v]), cluster_gram, cluster_target, config,
+                max_iters=budget,
             )
             projections[v] = zv.T @ factors[v]
             cg_stats.append(stats)
         embedding = compute_embedding(projections)
-        cluster = update_cluster_weights(embedding, cluster, indicator, config)
+        cluster = update_cluster_weights(
+            embedding, _reweighting(row_norms[-1]), indicator, config
+        )
         scores = embedding @ cluster.T
         indicator = update_indicator(scores)
         weights = CPWeights(tuple(factors), cluster)
-        total, fit_term, reg_term = objective(scores, weights, indicator, config.gamma)
+        total, fit_term, reg_term, row_norms = objective(
+            scores, weights, indicator, config.gamma
+        )
         trace.append(
             IterationRecord(
                 iteration=it,

@@ -21,6 +21,7 @@ from mmclust.oracle import (
     nmi_from_contingency,
     random_model,
     set_partitions,
+    view_operands,
 )
 from mmclust.solver import (
     CPWeights,
@@ -130,11 +131,9 @@ def test_criterion_3_subproblem_residuals():
     for _ in range(10):
         z, weights, indicator = random_model(rng, (3, 4), n=9, k=3, rank=3)
         view = int(rng.integers(0, 2))
-        a = z.z_views[view]
-        b = compute_embedding(project(z, weights), exclude=view)
-        new_factor, stats = update_view_weights(
-            a, b, weights.view_factors[view], weights.cluster_factor, indicator, config
-        )
+        operands = view_operands(z, weights, indicator, view)
+        a, b = operands[:2]
+        new_factor, stats = update_view_weights(*operands, config)
         # contract: residual met, or the iteration cap honestly reported
         cg_ok &= stats.converged or stats.iterations >= config.cg_max_iters
         if stats.converged:
@@ -149,10 +148,10 @@ def test_criterion_3_subproblem_residuals():
             )
 
         emb = compute_embedding(project(z, weights))
-        new_cf = update_cluster_weights(emb, weights.cluster_factor, indicator, config)
+        p = irls_diag(weights.cluster_factor)
+        new_cf = update_cluster_weights(emb, p, indicator, config)
         gram = emb.T @ emb
         rhs = indicator.matrix.T @ emb
-        p = irls_diag(weights.cluster_factor)
         defect = np.linalg.norm(new_cf @ gram + config.gamma * p[:, None] * new_cf - rhs)
         scaled = defect / (1.0 + np.linalg.norm(rhs))
         worst_cluster = max(worst_cluster, scaled)

@@ -268,6 +268,34 @@ class TestFitAndEval:
         assert "ACC" not in out
         assert f"{report}: labels must be integers" in err
 
+    @pytest.mark.parametrize("count", ["2.7", '"2"', "true", "1e400", "0"])
+    def test_eval_rejects_a_bad_cluster_count(self, tmp_path, capsys, count):
+        # a fraction used to be truncated and scored, true read as 1, and
+        # 1e400 (infinite once parsed) crashed the cast to int
+        report = tmp_path / "report.json"
+        report.write_text(f'{{"labels": [0, 1, 1, 0], "n_clusters": {count}}}')
+        labels = tmp_path / "y.csv"
+        labels.write_text("0\n1\n1\n0\n")
+        code, out, err = run(capsys, "eval", str(report), str(labels))
+        assert code == 1
+        assert "ACC" not in out
+        assert f"{report}: n_clusters must be a positive integer" in err
+
+    @pytest.mark.parametrize("label,message", [
+        ("18446744073709551616", "labels must lie within the int64 range"),
+        ("1e19", "labels must lie within the int64 range"),
+        ("true", "labels must be integers, not booleans"),
+    ])
+    def test_eval_rejects_report_labels_outside_int64(self, tmp_path, capsys, label, message):
+        report = tmp_path / "report.json"
+        report.write_text(f'{{"labels": [0, 1, {label}, 0], "n_clusters": 2}}')
+        labels = tmp_path / "y.csv"
+        labels.write_text("0\n1\n1\n0\n")
+        code, out, err = run(capsys, "eval", str(report), str(labels))
+        assert code == 1
+        assert "ACC" not in out and "Traceback" not in err
+        assert f"{report}: {message}" in err
+
 
 class TestBaseline:
     def test_baseline_runs_and_reports(self, small_dataset, tmp_path, capsys):
@@ -402,6 +430,6 @@ class TestOracleCheckCommand:
         code, stdout, _ = run(capsys, "oracle-check", "--seed", "3")
         assert code == 0
         lines = stdout.splitlines()
-        assert len(lines) == 14
+        assert len(lines) == 15
         assert all(line.startswith("PASS ") for line in lines[:-1])
-        assert lines[-1] == "all 13 checks passed"
+        assert lines[-1] == "all 14 checks passed"

@@ -224,6 +224,29 @@ class TestDatasetValidation:
         np.testing.assert_array_equal(ds.labels, [7, 999, 7])
         assert ds.labels.dtype == np.int64 and not ds.labels.flags.writeable
 
+    @pytest.mark.parametrize("labels,message", [
+        ([True, False, True], "not booleans"),
+        ([1, True, 0], "not booleans"),
+        (np.array([0.0, np.inf, 1.0]), "finite"),
+        (np.array([0.0, np.nan, 1.0]), "finite"),
+        ([0, 2**64, 1], "int64 range"),
+        ([0, 1e19, 1], "int64 range"),
+        ([0, -(2.0**64), 1], "int64 range"),
+        (np.array([0, 2**63, 1], dtype=np.uint64), "int64 range"),
+        (["0", "1", "1"], "must be integers"),
+    ])
+    def test_labels_rejected_before_the_int64_cast(self, labels, message):
+        with warnings.catch_warnings():
+            # the cast used to warn "invalid value encountered in cast"
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                MultiViewDataset((np.ones((2, 3)),), labels=labels)
+
+    def test_labels_at_the_int64_limit_kept(self):
+        top = np.iinfo(np.int64).max
+        ds = MultiViewDataset((np.ones((2, 3)),), labels=[0, top, 1])
+        np.testing.assert_array_equal(ds.labels, [0, top, 1])
+
     def test_empty_view_rejected(self):
         with pytest.raises(DataError):
             MultiViewDataset((np.empty((0, 3)),))

@@ -1,7 +1,7 @@
 """The program's import path loads numpy and the standard library only.
 
 A fresh interpreter imports ``mmclust`` and ``mmclust.cli`` and runs ``gen``,
-``baseline`` and ``eval`` on a tiny dataset, so the label matching behind
+``fit``, ``baseline`` and ``eval`` on a tiny dataset, so the label matching behind
 ``eval``'s accuracy runs too.  No ``scipy`` module may be loaded after those
 calls: an import moved inside a function would still cost its start-up time,
 only at the first call instead of at import.  Nor may ``mmclust.oracle``,
@@ -27,6 +27,7 @@ assert cli_main([
     "gen", "--n", "30", "--k", "3", "--views", "2", "--dims", "3,2",
     "--seed", "0", "--out", out,
 ]) == 0
+assert cli_main(["fit", f"{out}/manifest.json", "--k", "3", "--rank", "2", "--max-iters", "2"]) == 0
 assert cli_main(["baseline", f"{out}/manifest.json", "--k", "3", "--out", f"{out}/report.json"]) == 0
 assert cli_main(["eval", f"{out}/report.json", f"{out}/labels.csv"]) == 0
 print("oracle loaded:", "mmclust.oracle" in sys.modules)

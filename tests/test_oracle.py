@@ -185,6 +185,7 @@ CHECK_NAMES = [
     "kmeans-vs-broadcast-lloyd",
     "baseline-vs-closed-form",
     "lean-cg-vs-reference",
+    "fit-sweep-vs-reference",
 ]
 
 
@@ -202,9 +203,13 @@ class TestRunChecks:
         assert all(ok for _, ok, _ in results)
 
     def test_broken_operator_fails_only_its_check(self, broken_operator):
+        # fit takes each start residual from the cached projection, which no
+        # longer agrees with the broken operator the reference sweep calls
         results = run_checks(seed=0)
         assert [name for name, _, _ in results] == CHECK_NAMES
-        assert [name for name, ok, _ in results if not ok] == ["operator-vs-dense-system"]
+        assert [name for name, ok, _ in results if not ok] == [
+            "operator-vs-dense-system", "fit-sweep-vs-reference",
+        ]
 
     def test_broken_kmeans_fails_only_its_check(self, monkeypatch):
         # the same partition under other cluster ids still differs label by label
@@ -239,11 +244,14 @@ class TestRunChecks:
 
         monkeypatch.setattr(solver, "_conjugate_gradient", off_by_one_ulp)
         results = run_checks(seed=0)
-        assert [name for name, ok, _ in results if not ok] == ["lean-cg-vs-reference"]
+        # fit's sweeps run the perturbed CG, the reference sweeps do not
+        assert [name for name, ok, _ in results if not ok] == [
+            "lean-cg-vs-reference", "fit-sweep-vs-reference",
+        ]
 
     def test_failed_check_fails_the_command(self, broken_operator, capsys):
         assert cli_main(["oracle-check"]) == 1
         captured = capsys.readouterr()
         assert "FAIL operator-vs-dense-system (" in captured.out
         assert captured.out.count("PASS ") == 12
-        assert captured.err.strip() == "1 of 13 checks failed"
+        assert captured.err.strip() == "2 of 14 checks failed"

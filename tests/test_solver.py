@@ -16,6 +16,7 @@ from mmclust.oracle import (
     materialize_cp,
     random_model,
     reference_conjugate_gradient,
+    view_operands,
 )
 from mmclust.solver import (
     CPWeights,
@@ -220,21 +221,23 @@ class TestObjective:
         z = random_augmented(rng, (3,), 6)
         w = CPWeights((np.zeros((4, 2)),), np.zeros((3, 2)))
         q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
-        total, fit_term, reg_term = objective(predict_scores(z, w), w, ClusterIndicator(q), 0.5)
+        total, fit_term, reg_term, _ = objective(
+            predict_scores(z, w), w, ClusterIndicator(q), 0.5
+        )
         assert reg_term == 0.0
         assert total == pytest.approx(3.0, abs=1e-12)
 
     def test_gamma_zero_total_is_fit(self):
         rng = np.random.default_rng(14)
         z, w, f = random_model(rng, (2, 2), n=5, k=2, rank=2)
-        total, fit_term, reg_term = objective(predict_scores(z, w), w, f, 0.0)
+        total, fit_term, reg_term, _ = objective(predict_scores(z, w), w, f, 0.0)
         assert reg_term == 0.0
         assert total == fit_term
 
     def test_scalar_loop_recomputation(self):
         rng = np.random.default_rng(15)
         z, w, f = random_model(rng, (2, 3), n=4, k=2, rank=2)
-        got = objective(predict_scores(z, w), w, f, 0.37)
+        got = objective(predict_scores(z, w), w, f, 0.37)[:3]
         want = objective_scalar_loops(z, w, f, 0.37)
         for g, e in zip(got, want):
             assert g == pytest.approx(e, abs=1e-10)
@@ -334,9 +337,11 @@ class TestConjugateGradient:
 
     def test_converged_solve_reuses_confirmed_residual(self):
         h, b, matvec, calls = self._counted_system(40)
-        x, stats = _conjugate_gradient(matvec, b, np.zeros_like(b), 1e-10, 100)
+        x0 = np.zeros_like(b)
+        x, stats = _conjugate_gradient(matvec, b, x0, b - matvec(x0), 1e-10, 100)
         assert stats.converged
-        # the start residual, one per step, and the confirming true residual
+        # the start residual (formed by the caller), one per step, and the
+        # confirming true residual
         assert len(calls) == stats.iterations + 2
         want = np.linalg.norm(b - h @ x) / np.linalg.norm(b)
         assert stats.residual == pytest.approx(want, rel=1e-12)
@@ -344,7 +349,7 @@ class TestConjugateGradient:
     def test_warm_start_within_tolerance_costs_one_matvec(self):
         h, b, matvec, calls = self._counted_system(41)
         x0 = np.linalg.solve(h, b)
-        x, stats = _conjugate_gradient(matvec, b, x0, 1e-8, 100)
+        x, stats = _conjugate_gradient(matvec, b, x0, b - matvec(x0), 1e-8, 100)
         assert stats.converged and stats.iterations == 0
         assert len(calls) == 1
         np.testing.assert_array_equal(x, x0)
@@ -353,7 +358,8 @@ class TestConjugateGradient:
         # no matvec is spent recomputing the residual of an unconverged solve;
         # the recurrence's residual stands in for the true one
         h, b, matvec, calls = self._counted_system(42)
-        x, stats = _conjugate_gradient(matvec, b, np.zeros_like(b), 1e-10, 2)
+        x0 = np.zeros_like(b)
+        x, stats = _conjugate_gradient(matvec, b, x0, b - matvec(x0), 1e-10, 2)
         assert stats.iterations == 2 and not stats.converged
         assert len(calls) == stats.iterations + 1
         want = np.linalg.norm(b - h @ x) / np.linalg.norm(b)
@@ -376,7 +382,8 @@ class TestConjugateGradient:
                 return h @ x
 
             for budget in (4, 200):
-                x, stats = _conjugate_gradient(matvec, b, np.zeros(12), 1e-10, budget)
+                x0 = np.zeros(12)
+                x, stats = _conjugate_gradient(matvec, b, x0, b - matvec(x0), 1e-10, budget)
                 ref_x, ref_stats = reference_conjugate_gradient(
                     lambda v: h @ v, b, np.zeros(12), 1e-10, budget
                 )
@@ -399,9 +406,9 @@ class TestUpdateViewWeights:
     def test_residual_contract(self):
         for seed in range(5):
             z, w, f, cfg = self._setup(seed)
-            A = z.z_views[0]
-            B = compute_embedding(project(z, w), exclude=0)
-            new_w, stats = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
+            operands = view_operands(z, w, f, 0)
+            A, B = operands[:2]
+            new_w, stats = update_view_weights(*operands, cfg)
             assert stats.converged or stats.iterations >= cfg.cg_max_iters
             # recompute the residual independently of the CG bookkeeping
             C = w.cluster_factor.T @ w.cluster_factor
@@ -414,9 +421,9 @@ class TestUpdateViewWeights:
     def test_large_gamma_rowwise_shrinkage_limit(self):
         z, w, f, _ = self._setup(3)
         cfg = FitConfig(rank=3, gamma=1e8)
-        A = z.z_views[0]
-        B = compute_embedding(project(z, w), exclude=0)
-        new_w, stats = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
+        operands = view_operands(z, w, f, 0)
+        A, B = operands[:2]
+        new_w, stats = update_view_weights(*operands, cfg)
         assert stats.converged
         E = A @ (B * (f.matrix @ w.cluster_factor))
         d = irls_diag(w.view_factors[0])
@@ -434,9 +441,9 @@ class TestUpdateViewWeights:
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
         cfg = FitConfig(rank=k, gamma=1.0, cg_tol=1e-12, cg_max_iters=2000)
-        A = z.z_views[0]
-        B = compute_embedding(project(z, w), exclude=0)
-        new_w, _ = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
+        operands = view_operands(z, w, f, 0)
+        A, B = operands[:2]
+        new_w, _ = update_view_weights(*operands, cfg)
         E = A @ (B * (f.matrix @ w.cluster_factor))
         d = irls_diag(w.view_factors[0])
         H = dense_H(A, B, np.eye(k), d, cfg.gamma)
@@ -445,8 +452,7 @@ class TestUpdateViewWeights:
 
     def test_step_budget(self):
         z, w, f, cfg = self._setup(4)
-        args = (z.z_views[0], compute_embedding(project(z, w), exclude=0),
-                w.view_factors[0], w.cluster_factor, f, cfg)
+        args = (*view_operands(z, w, f, 0), cfg)
         for budget in (1, 3):
             _, stats = update_view_weights(*args, max_iters=budget)
             assert stats.iterations == budget and not stats.converged
@@ -455,15 +461,51 @@ class TestUpdateViewWeights:
 
     def test_embedding_row_mismatch_rejected(self):
         z, w, f, cfg = self._setup(5)
-        B = compute_embedding(project(z, w), exclude=0)
+        A, B, *rest = view_operands(z, w, f, 0)
         with pytest.raises(ValueError, match="embedding"):
-            update_view_weights(z.z_views[0], B[:-1], w.view_factors[0], w.cluster_factor, f, cfg)
+            update_view_weights(A, B[:-1], *rest, cfg)
 
     def test_factor_shape_mismatch_rejected(self):
         z, w, f, cfg = self._setup(6)
-        B = compute_embedding(project(z, w), exclude=0)
+        A, B, _, *rest = view_operands(z, w, f, 0)
         with pytest.raises(ValueError, match="factor"):
-            update_view_weights(z.z_views[0], B, w.view_factors[1], w.cluster_factor, f, cfg)
+            update_view_weights(A, B, w.view_factors[1], *rest, cfg)
+
+    def test_operand_shape_mismatch_rejected(self):
+        z, w, f, cfg = self._setup(7)
+        operands = view_operands(z, w, f, 0)
+        for i in range(3, 7):
+            bad = list(operands)
+            bad[i] = bad[i][:-1]
+            with pytest.raises(ValueError, match="inconsistent operands"):
+                update_view_weights(*bad, cfg)
+
+    def test_budgeted_solve_spends_one_operator_call_per_step(self, monkeypatch):
+        # the start residual comes from the cached projection, not apply_H,
+        # and matches the one apply_H gives byte for byte
+        z, w, f, cfg = self._setup(8)
+        operands = view_operands(z, w, f, 0)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return apply_H(*args)
+
+        monkeypatch.setattr(solver, "apply_H", counted)
+        new_w, stats = update_view_weights(*operands, cfg, max_iters=VIEW_CG_STEPS)
+        assert stats.iterations == VIEW_CG_STEPS and len(calls) == VIEW_CG_STEPS
+        A, B, factor, _, d, C, target = operands
+        b = (A @ (B * target)).ravel(order="F")
+        x0 = factor.ravel(order="F")
+
+        def matvec(v):
+            return apply_H(v, A, B, C, d, cfg.gamma)
+
+        ref_x, ref_stats = reference_conjugate_gradient(
+            matvec, b, x0, cfg.cg_tol, VIEW_CG_STEPS
+        )
+        assert new_w.ravel(order="F").tobytes() == ref_x.tobytes()
+        assert stats == ref_stats
 
     def test_warm_start_beats_zero_start_at_fixed_budget(self):
         # after one outer pass the factor sits near the new system's solution,
@@ -471,9 +513,9 @@ class TestUpdateViewWeights:
         wins = 0
         for seed in range(10):
             z, w, f, cfg = self._setup(seed + 100)
-            A = z.z_views[0]
-            B = compute_embedding(project(z, w), exclude=0)
-            solved, _ = update_view_weights(A, B, w.view_factors[0], w.cluster_factor, f, cfg)
+            operands = view_operands(z, w, f, 0)
+            A, B = operands[:2]
+            solved, _ = update_view_weights(*operands, cfg)
             factors = list(w.view_factors)
             factors[0] = solved
             w2 = CPWeights(tuple(factors), w.cluster_factor)
@@ -486,8 +528,9 @@ class TestUpdateViewWeights:
                 return apply_H(vec, A, B, C, d2, cfg.gamma)
 
             budget = 3
-            _, warm = _conjugate_gradient(matvec, b, solved.ravel(order="F"), 1e-16, budget)
-            _, cold = _conjugate_gradient(matvec, b, np.zeros_like(b), 1e-16, budget)
+            warm_x0, cold_x0 = solved.ravel(order="F"), np.zeros_like(b)
+            _, warm = _conjugate_gradient(matvec, b, warm_x0, b - matvec(warm_x0), 1e-16, budget)
+            _, cold = _conjugate_gradient(matvec, b, cold_x0, b - matvec(cold_x0), 1e-16, budget)
             assert warm.residual <= cold.residual * (1 + 1e-9)
             wins += warm.residual < cold.residual
         assert wins >= 8  # warm start should usually strictly win
@@ -508,7 +551,7 @@ class TestUpdateClusterWeights:
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
         emb = compute_embedding(project(z, w))
-        new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=0.0))
+        new_cf = update_cluster_weights(emb, irls_diag(w.cluster_factor), f, FitConfig(gamma=0.0))
         np.testing.assert_allclose(new_cf, f.matrix.T @ emb, atol=1e-8)
 
     def test_zero_indicator_gives_zero(self):
@@ -517,7 +560,9 @@ class TestUpdateClusterWeights:
         zero_f = ClusterIndicator.__new__(ClusterIndicator)
         object.__setattr__(zero_f, "matrix", np.zeros((6, 2)))
         emb = compute_embedding(project(z, w))
-        new_cf = update_cluster_weights(emb, w.cluster_factor, zero_f, FitConfig(gamma=0.3))
+        new_cf = update_cluster_weights(
+            emb, irls_diag(w.cluster_factor), zero_f, FitConfig(gamma=0.3)
+        )
         np.testing.assert_allclose(new_cf, 0.0, atol=1e-12)
 
     def test_equation_residual(self):
@@ -526,9 +571,9 @@ class TestUpdateClusterWeights:
             z, w, f = random_model(rng, (3, 4), n=8, k=3, rank=3)
             gamma = 0.05
             emb = compute_embedding(project(z, w))
-            new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=gamma))
-            gram = emb.T @ emb
             p = irls_diag(w.cluster_factor)
+            new_cf = update_cluster_weights(emb, p, f, FitConfig(gamma=gamma))
+            gram = emb.T @ emb
             lhs = new_cf @ gram + gamma * p[:, None] * new_cf
             rhs = f.matrix.T @ emb
             assert np.linalg.norm(lhs - rhs) < 1e-8 * (1 + np.linalg.norm(rhs))
@@ -544,7 +589,9 @@ class TestUpdateClusterWeights:
         f = ClusterIndicator(q)
         emb = compute_embedding(project(z, w))
         with pytest.warns(RuntimeWarning, match="jitter"):
-            new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=0.0))
+            new_cf = update_cluster_weights(
+                emb, irls_diag(w.cluster_factor), f, FitConfig(gamma=0.0)
+            )
         np.testing.assert_allclose(new_cf, 0.0, atol=1e-12)
 
     def test_rank_deficient_gamma_zero_meets_contract(self):
@@ -559,7 +606,7 @@ class TestUpdateClusterWeights:
         q, _ = np.linalg.qr(rng.standard_normal((n, k)))
         f = ClusterIndicator(q)
         emb = compute_embedding(project(z, w))
-        new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=0.0))
+        new_cf = update_cluster_weights(emb, irls_diag(w.cluster_factor), f, FitConfig(gamma=0.0))
         gram = emb.T @ emb
         rhs = f.matrix.T @ emb
         assert np.linalg.norm(new_cf @ gram - rhs) < 1e-8 * (1 + np.linalg.norm(rhs))
@@ -570,8 +617,8 @@ class TestUpdateClusterWeights:
         z, w, f = random_model(rng, (3, 2), n=7, k=3, rank=2)
         gamma = 0.05
         emb = compute_embedding(project(z, w))
-        new_cf = update_cluster_weights(emb, w.cluster_factor, f, FitConfig(gamma=gamma))
         p = irls_diag(w.cluster_factor)
+        new_cf = update_cluster_weights(emb, p, f, FitConfig(gamma=gamma))
 
         def surrogate(cf):
             resid = emb @ cf.T - f.matrix
@@ -585,14 +632,15 @@ class TestUpdateClusterWeights:
             direction /= np.linalg.norm(direction)
             assert surrogate(new_cf + 1e-3 * direction) >= base - 1e-12
 
-    def test_cluster_factor_shape_mismatch_rejected(self):
-        # the solve reads the cluster factor only through its row norms, so a
-        # wrong column count would otherwise pass unnoticed
+    def test_diag_length_mismatch_rejected(self):
+        # the diagonal is one shift per cluster; broadcasting would otherwise
+        # accept a length-one or 2-d diagonal unnoticed
         rng = np.random.default_rng(35)
         z, w, f = random_model(rng, (3, 2), n=7, k=3, rank=2)
         emb = compute_embedding(project(z, w))
-        with pytest.raises(ValueError, match="cluster factor"):
-            update_cluster_weights(emb, np.ones((3, 3)), f, FitConfig(gamma=0.05))
+        for diag in (np.ones(1), np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ValueError, match="diag"):
+                update_cluster_weights(emb, diag, f, FitConfig(gamma=0.05))
 
 
 class TestUpdateIndicator:
@@ -789,7 +837,9 @@ class TestFit:
             cfg = FitConfig(rank=3, max_outer_iters=6, seed=seed)
             report = fit(ds, 3, cfg)
             scores = predict_scores(augment(normalize_views(ds)), report.weights)
-            total, fit_term, _ = objective(scores, report.weights, report.indicator, cfg.gamma)
+            total, fit_term, _, _ = objective(
+                scores, report.weights, report.indicator, cfg.gamma
+            )
             assert report.trace[-1].objective == total
             assert report.trace[-1].fit_term == fit_term
             np.testing.assert_array_equal(update_indicator(scores).matrix, report.indicator.matrix)
