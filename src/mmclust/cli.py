@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, _as_count, _as_labels, _read_labels, load_dataset
+from .data import (
+    DataError, MultiViewDataset, _as_count, _as_labels, _read_json, _read_labels, load_dataset,
+)
 from .metrics import Partition, accuracy, nmi
 from .solver import FitConfig, SolverError, fit
 from .synth import SynthSpec, baseline_regression_cluster, generate
@@ -99,19 +101,29 @@ def _print_and_write(report, out: str | None) -> int:
     return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _load(args: argparse.Namespace) -> MultiViewDataset:
+    """The manifest's dataset, which must hold at least ``--k`` instances."""
     dataset = load_dataset(args.manifest)
+    if args.k > dataset.n_instances:
+        raise DataError(
+            f"{args.manifest}: n_clusters {args.k} exceeds its {dataset.n_instances} instances"
+        )
+    return dataset
+
+
+def _cmd_fit(args: argparse.Namespace) -> int:
+    dataset = _load(args)
     return _print_and_write(fit(dataset, args.k, _fit_config_from(args)), args.out)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.manifest)
+    dataset = _load(args)
     config = FitConfig(rank=args.k, gamma=args.gamma, seed=args.seed)
     return _print_and_write(baseline_regression_cluster(dataset, args.k, config), args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.manifest)
+    dataset = _load(args)
     if dataset.labels is None:
         raise DataError("sweep needs ground-truth labels: add a labels file to the manifest")
     ranks = _parse_int_list(args.ranks)
@@ -139,15 +151,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     report_path = Path(args.report)
-    if not report_path.is_file():
-        raise DataError(f"report not found: {report_path}")
-    try:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{report_path}: invalid report JSON ({exc})") from None
+    report = _read_json(report_path, "report")
     try:
         pred = _as_labels(report["labels"])
         k = _as_count(report["n_clusters"], "n_clusters")
+        if int(pred.max()) >= k:
+            raise DataError(f"labels must be below n_clusters = {k}, got {pred.max()}")
     except DataError as exc:
         raise DataError(f"{report_path}: {exc}") from None
     except (KeyError, TypeError, ValueError):

@@ -174,6 +174,32 @@ class AugmentedViews:
         return self.z_views[0].shape[1]
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
+    return DataError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
+def _read_text(path: Path, kind: str) -> str:
+    """The whole of a small UTF-8 text file; a missing file or one that is not
+    UTF-8 raises a DataError that names it."""
+    if not path.is_file():
+        raise DataError(f"{kind} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _read_json(path: Path, kind: str):
+    """The value of a small UTF-8 JSON file.  Any parse failure, Python's
+    limits on integer digits and on nesting depth included, raises a
+    DataError that names it."""
+    text = _read_text(path, kind)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: invalid {kind} JSON ({exc})") from None
+
+
 def _parse_rows(lines) -> np.ndarray:
     """Whitespace-separated numbers from an iterable of text lines, one
     matrix row per non-blank line, read by numpy's C reader; raises
@@ -222,13 +248,15 @@ def _read_matrix(path: Path) -> np.ndarray:
         # one line in memory at a time; the first non-blank one is peeked at
         # to tell an empty file from a parse failure
         lines = (line.replace(",", " ") for line in fh)
-        first = next((line for line in lines if not line.isspace()), None)
-        if first is None:
-            raise DataError(f"{path}: empty matrix file")
         try:
-            mat = _parse_rows(itertools.chain((first,), lines))
+            first = next((line for line in lines if not line.isspace()), None)
+            mat = None if first is None else _parse_rows(itertools.chain((first,), lines))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
         except ValueError as exc:
             raise (_locate_fault(path) or DataError(f"{path}: {exc}")) from None
+    if mat is None:
+        raise DataError(f"{path}: empty matrix file")
     if not np.all(np.isfinite(mat)):
         raise DataError(f"{path}: matrix contains a non-finite value")
     return mat
@@ -237,6 +265,13 @@ def _read_matrix(path: Path) -> np.ndarray:
 def _parse_labels(lines) -> np.ndarray:
     """One integer per non-blank line, read by numpy's C reader; raises
     ValueError on any other line, including one with two fields."""
+    # numpy's integer reader can crash the process on a code point far outside
+    # ASCII (seen on numpy 2.4 from U+30000 up), and only whitespace outside
+    # ASCII may stand in a label line, so no other such character reaches it
+    if not all(map(str.isascii, lines)) and any(
+        not (c.isascii() or c.isspace()) for line in lines for c in line
+    ):
+        raise ValueError("non-ASCII character in a label line")
     with warnings.catch_warnings():
         # numpy releases that read '1.0' as the integer 1 warn that this is
         # deprecated instead of rejecting it; reject it on every release
@@ -251,9 +286,7 @@ def _parse_labels(lines) -> np.ndarray:
 
 
 def _read_labels(path: Path, n: int) -> np.ndarray:
-    if not path.is_file():
-        raise DataError(f"labels file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path, "labels file")
     labels = np.empty(0, dtype=np.int64)
     # the reader warns on input without data; an all-blank file holds no labels
     if text.strip():
@@ -274,7 +307,10 @@ def _read_labels(path: Path, n: int) -> np.ndarray:
             raise DataError(f"{path}: {exc}") from None
     if labels.size != n:
         raise DataError(f"{path}: expected {n} labels, found {labels.size}")
-    return labels
+    try:
+        return _as_labels(labels)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
@@ -286,12 +322,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     paths are resolved against the manifest's directory.
     """
     path = Path(manifest_path)
-    if not path.is_file():
-        raise DataError(f"manifest not found: {path}")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid manifest JSON ({exc})") from None
+    manifest = _read_json(path, "manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("views"), list):
         raise DataError(f"{path}: manifest must be an object with a 'views' list")
     view_paths = manifest["views"]
@@ -309,7 +340,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     for p, v in zip(view_paths, views):
         if v.shape[1] != n:
             raise DataError(
-                f"column count mismatch: {view_paths[0]} has {n} columns, "
+                f"{path}: column count mismatch: {view_paths[0]} has {n} columns, "
                 f"{p} has {v.shape[1]}"
             )
 

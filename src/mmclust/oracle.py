@@ -2,18 +2,27 @@
 with the solver's fast paths.
 
 The reference paths materialize objects the solver deliberately avoids
-forming: the full weight tensor, the dense system matrix of the view-factor
-update, and explicit outer products.  They recompute the clustering metrics
-by brute force: exhaustive permutation search for accuracy and a scalar
-contingency-table loop for NMI.  K-means is rerun with every distance formed
-as an explicit broadcast and every center as a masked mean.  The view
-solve's conjugate gradient is rerun with a fresh array for every vector
-update, and must give the solver's in-place loop byte for byte.  The
-concatenated-view baseline is checked against its closed form from an
-independent SVD and against a plain ridge alternation from random starts.
-They share no code with the solver, synth or metrics modules, so agreement
-between the two is evidence, not tautology; the K-means reference keeps its
-own row-wise copy of the seeding, which consumes the same random draws.
+forming.  The full weight tensor is a plain ndarray of shape
+(D_1+1, ..., D_V+1, K), summed from ``np.multiply.outer`` products of the
+factor columns, and an instance's score contracts its data tensor, the outer
+product of its augmented feature vectors, with one cluster slice of it.  The
+view-factor update's system matrix is assembled densely from Kronecker
+products.  The clustering metrics are recomputed by brute force: exhaustive
+permutation search for accuracy and a scalar contingency-table loop for NMI.
+K-means is rerun with every distance formed as an explicit broadcast and every
+center as a masked mean.  The view solve's conjugate gradient is rerun with a
+fresh array for every vector update, and must give the solver's in-place loop
+byte for byte.  The concatenated-view baseline is checked against its closed
+form from an independent SVD and against a plain ridge alternation from random
+starts.
+None of these references calls the solver, synth or metrics arithmetic it
+checks, so agreement between the two is evidence, not tautology.  They do
+share plumbing with ``solver``: the fixtures ``random_model`` and
+``view_operands`` build their inputs with its types and projection helpers,
+``reference_conjugate_gradient`` returns its ``CGStats`` and raises its
+``SolverError``, and ``broadcast_lloyd_kmeans`` takes its step cap from
+``solver.KMEANS_MAX_ITERS``; the K-means reference keeps its own row-wise copy
+of the seeding, which consumes the same random draws.
 The one exception is the reference for ``fit``'s outer iterations, which
 rebuilds every view system from scratch but calls the solver's operator,
 diagonal, cluster and indicator updates: it checks how ``fit`` computes
@@ -28,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -37,9 +45,6 @@ from . import metrics, solver, synth
 from .data import MultiViewDataset, augment, normalize_views
 
 __all__ = [
-    "DenseTensor",
-    "outer_product",
-    "tensor_inner",
     "materialize_cp",
     "full_tensor_predict",
     "dense_H",
@@ -61,61 +66,9 @@ DENSE_SYSTEM_SIZE_CAP = 5_000
 VIEW_SYSTEM_SHAPES = ((11, 300, 10), (51, 1000, 20))
 
 
-@dataclass(frozen=True)
-class DenseTensor:
-    """Explicit dense tensor, stored flat in column-major multi-index order."""
-
-    dims: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"invalid tensor dims {dims}")
-        values = np.asarray(self.values, dtype=np.float64).ravel()
-        if values.size != int(np.prod(dims)):
-            raise ValueError(
-                f"values length {values.size} does not match dims {dims}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("tensor entries must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "values", values)
-
-    def entry(self, *index: int) -> float:
-        """Entry at a multi-index, resolved with column-major strides."""
-        if len(index) != len(self.dims):
-            raise IndexError(f"expected {len(self.dims)} indices, got {len(index)}")
-        offset, stride = 0, 1
-        for i, d in zip(index, self.dims):
-            if not 0 <= i < d:
-                raise IndexError(f"index {index} out of bounds for dims {self.dims}")
-            offset += i * stride
-            stride *= d
-        return float(self.values[offset])
-
-
-def outer_product(vectors) -> DenseTensor:
-    """Outer product of a list of vectors: entry (i_1..i_M) is the product of
-    the i_m-th element of each vector."""
-    vecs = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
-    if not vecs or any(v.size == 0 for v in vecs):
-        raise ValueError("need at least one nonempty vector")
-    full = reduce(np.multiply.outer, vecs)
-    return DenseTensor(tuple(v.size for v in vecs), np.asarray(full).ravel(order="F"))
-
-
-def tensor_inner(a: DenseTensor, b: DenseTensor) -> float:
-    """Sum of elementwise products over all multi-indices."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    return float(np.dot(a.values, b.values))
-
-
-def materialize_cp(weights, max_entries: int = MATERIALIZE_ENTRY_CAP) -> DenseTensor:
-    """Expand factor matrices into the full weight tensor as an explicit sum of
-    rank-1 outer products.
+def materialize_cp(weights) -> np.ndarray:
+    """The full weight tensor, of shape (D_1+1, ..., D_V+1, K), summed over
+    the components in order as explicit rank-1 outer products.
 
     ``weights`` is anything exposing ``view_factors`` (a sequence of matrices
     with a common column count) and ``cluster_factor``; component ``r`` is the
@@ -127,32 +80,28 @@ def materialize_cp(weights, max_entries: int = MATERIALIZE_ENTRY_CAP) -> DenseTe
     if any(f.ndim != 2 or f.shape[1] != rank for f in factors):
         raise ValueError("factor matrices must share one column count")
     dims = tuple(f.shape[0] for f in factors)
-    total = int(np.prod(dims))
-    if total > max_entries:
-        raise ValueError(
-            f"materializing {total} entries exceeds the cap of {max_entries}"
-        )
-    flat = np.zeros(total)
+    total = math.prod(dims)
+    if total > MATERIALIZE_ENTRY_CAP:
+        raise ValueError(f"materializing {total} entries exceeds the cap {MATERIALIZE_ENTRY_CAP}")
+    full = np.zeros(dims)
     for r in range(rank):
-        flat += outer_product([f[:, r] for f in factors]).values
-    return DenseTensor(dims, flat)
+        full += reduce(np.multiply.outer, [f[:, r] for f in factors])
+    return full
 
 
-def full_tensor_predict(z, w_full: DenseTensor, n: int, k: int) -> float:
+def full_tensor_predict(z, w_full: np.ndarray, n: int, k: int) -> float:
     """Score of instance ``n`` against cluster ``k`` evaluated the slow way:
-    inner product of the instance's augmented rank-1 data tensor (extended by
-    the cluster's one-hot vector) with the explicit weight tensor."""
+    the instance's augmented rank-1 data tensor contracted with cluster
+    ``k``'s slice of the explicit weight tensor."""
     vectors = [np.asarray(zv, dtype=np.float64)[:, n] for zv in z.z_views]
-    k_size = w_full.dims[-1]
-    expected = tuple(v.size for v in vectors) + (k_size,)
-    if w_full.dims != expected:
-        raise ValueError(f"weight tensor dims {w_full.dims}, expected {expected}")
-    onehot = np.zeros(k_size)
-    onehot[k] = 1.0
-    return tensor_inner(outer_product(vectors + [onehot]), w_full)
+    expected = tuple(v.size for v in vectors) + w_full.shape[-1:]
+    if w_full.shape != expected:
+        raise ValueError(f"weight tensor shape {w_full.shape}, expected {expected}")
+    data = reduce(np.multiply.outer, vectors)
+    return float(np.sum(data * w_full[..., k]))
 
 
-def dense_H(A, B, C, D_diag, gamma: float, max_size: int = DENSE_SYSTEM_SIZE_CAP) -> np.ndarray:
+def dense_H(A, B, C, D_diag, gamma: float) -> np.ndarray:
     """Explicitly assemble the (M*R) x (M*R) system matrix of the view-factor
     update via Kronecker products:
 
@@ -172,8 +121,8 @@ def dense_H(A, B, C, D_diag, gamma: float, max_size: int = DENSE_SYSTEM_SIZE_CAP
             f"inconsistent shapes: A {A.shape}, B {B.shape}, C {C.shape}, "
             f"D_diag {D_diag.shape}"
         )
-    if m * r > max_size:
-        raise ValueError(f"dense system of order {m * r} exceeds cap {max_size}")
+    if m * r > DENSE_SYSTEM_SIZE_CAP:
+        raise ValueError(f"dense system of order {m * r} exceeds cap {DENSE_SYSTEM_SIZE_CAP}")
     eye_r = np.eye(r)
     weight = np.diag(B.ravel(order="F"))
     interaction = (

@@ -115,11 +115,7 @@ def generate(spec: SynthSpec) -> MultiViewDataset:
 
 
 def generate_interaction(
-    n_instances: int,
-    dims: tuple[int, int] = (1, 1),
-    magnitude_range: tuple[float, float] = (0.5, 2.0),
-    noise_scale: float = 0.1,
-    seed: int = 0,
+    n_instances: int, dims: tuple[int, int] = (1, 1), seed: int = 0
 ) -> MultiViewDataset:
     """Two-view dataset whose two classes are the sign of a cross-view product.
 
@@ -127,29 +123,26 @@ def generate_interaction(
     sign; the label is 1 exactly when the two signs agree, so it is
     statistically independent of every individual feature and no per-view or
     concatenated linear model can see it.  The two designated magnitudes are
-    reciprocal (``m`` and ``1/m`` with ``m`` uniform over ``magnitude_range``),
-    which smears each view's own sign split while keeping the cross-view
-    product exactly two-valued.  This is the designed stress case for
-    full-order interaction models.  Any further rows are ``noise_scale``
-    i.i.d. Gaussian.
+    reciprocal (``m`` and ``1/m`` with ``m`` uniform over [0.5, 2]), which
+    smears each view's own sign split while keeping the cross-view product
+    exactly two-valued.  This is the designed stress case for full-order
+    interaction models.  Any further rows are i.i.d. Gaussian with standard
+    deviation 0.1.
     """
     if len(dims) != 2 or any(d < 1 for d in dims):
         raise ValueError("interaction benchmark needs two views of positive dims")
     if n_instances < 2:
         raise ValueError("need at least two instances")
-    lo, hi = magnitude_range
-    if not 0 < lo <= hi:
-        raise ValueError("magnitude_range must be positive and ordered")
     rng = np.random.default_rng(seed)
     while True:
         signs = [rng.choice([-1.0, 1.0], size=n_instances) for _ in range(2)]
         labels = (signs[0] * signs[1] > 0).astype(np.int64)
         if labels.min() != labels.max():
             break
-    magnitude = rng.uniform(lo, hi, size=n_instances)
+    magnitude = rng.uniform(0.5, 2.0, size=n_instances)
     views = []
     for s, mag, dim in ((signs[0], magnitude, dims[0]), (signs[1], 1.0 / magnitude, dims[1])):
-        view = noise_scale * rng.standard_normal((dim, n_instances))
+        view = 0.1 * rng.standard_normal((dim, n_instances))
         view[0] = s * mag
         views.append(view)
     return MultiViewDataset(tuple(views), labels=labels)

@@ -285,6 +285,8 @@ class TestFitAndEval:
         ("18446744073709551616", "labels must lie within the int64 range"),
         ("1e19", "labels must lie within the int64 range"),
         ("true", "labels must be integers, not booleans"),
+        # in int64 but past the report's own cluster count
+        ("5", "labels must be below n_clusters = 2, got 5"),
     ])
     def test_eval_rejects_report_labels_outside_int64(self, tmp_path, capsys, label, message):
         report = tmp_path / "report.json"
@@ -295,6 +297,30 @@ class TestFitAndEval:
         assert code == 1
         assert "ACC" not in out and "Traceback" not in err
         assert f"{report}: {message}" in err
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("kind", ["view", "labels", "manifest", "report"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys, kind):
+        files = {
+            "view": tmp_path / "v.csv",
+            "labels": tmp_path / "y.csv",
+            "manifest": tmp_path / "m.json",
+            "report": tmp_path / "r.json",
+        }
+        files["view"].write_text("1,2,3,4\n4,3,2,1\n")
+        files["labels"].write_text("0\n1\n1\n0\n")
+        files["manifest"].write_text(json.dumps({"views": ["v.csv"], "labels": "y.csv"}))
+        files["report"].write_text(json.dumps({"labels": [0, 1, 1, 0], "n_clusters": 2}))
+        bad = files[kind]
+        bad.write_bytes(bad.read_bytes()[:5] + b"\xff" + bad.read_bytes()[5:])
+        if kind == "report":
+            argv = ["eval", str(files["report"]), str(files["labels"])]
+        else:
+            argv = ["baseline", str(files["manifest"]), "--k", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 class TestBaseline:

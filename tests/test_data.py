@@ -167,17 +167,29 @@ class TestLoadDataset:
             ("0\n1\n\n1.0\n", r"labels\.csv:4: non-integer label '1\.0'"),
             ("1_0\n0\n1\n", r"labels\.csv:1: non-integer label '1_0'"),
             ("0\n1\n# note\n", r"labels\.csv:3: non-integer label '# note'"),
+            # numpy's integer reader can crash on this code point
+            ("0\n\U000f0000\n1\n", r"labels\.csv:2: non-integer label '\U000f0000'"),
+            ("0\n-1\n0\n", r"labels\.csv: labels must be non-negative"),
         ],
-        ids=["two-fields", "decimal-point", "digit-separator", "comment-marker"],
+        ids=[
+            "two-fields", "decimal-point", "digit-separator", "comment-marker", "plane-15",
+            "negative",
+        ],
     )
     def test_rejected_label_line_is_located(self, tmp_path, text, message):
         # one field per line; '#' is no comment marker, and a digit separator
-        # is no digit
+        # is no digit; a negative ID is rejected for the whole file
         path = write_dataset(tmp_path, [[[1.0, 2.0, 3.0]]])
         (tmp_path / "labels.csv").write_text(text)
         path.write_text(json.dumps({"views": ["view0.csv"], "labels": "labels.csv"}))
         with pytest.raises(DataError, match=message):
             load_dataset(path)
+
+    def test_whitespace_outside_ascii_pads_a_label(self, tmp_path):
+        path = write_dataset(tmp_path, [[[1.0, 2.0, 3.0]]])
+        (tmp_path / "labels.csv").write_text("0\n\u00a01\u3000\n0\n")
+        path.write_text(json.dumps({"views": ["view0.csv"], "labels": "labels.csv"}))
+        np.testing.assert_array_equal(load_dataset(path).labels, [0, 1, 0])
 
     def test_label_read_via_float_is_rejected(self, tmp_path, monkeypatch):
         # numpy releases from 1.23 on read '1.0' as the integer 1 with a

@@ -1,11 +1,20 @@
 """Property tests: a budgeted fit descends monotonically and keeps its budget,
 the matrix-free operator is bit for bit its defining expression, K-means
-assignment breaks distance ties as ``argmin`` does, and the label matcher
-attains the assignment optimum that scipy computes independently."""
+assignment breaks distance ties as ``argmin`` does, the label matcher
+attains the assignment optimum that scipy computes independently, and the
+CLI keeps its input contract on fuzzed reports, labels files and manifests."""
+
+import io
+import json
+import pathlib
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+from mmclust.cli import cli_main
 from mmclust.data import MultiViewDataset
 from mmclust.metrics import _max_weight_matching
 from mmclust.solver import VIEW_CG_STEPS, FitConfig, _first_argmin, apply_H, fit
@@ -98,3 +107,120 @@ def test_label_matching_attains_the_assignment_optimum(n, extra, data):
     assert len(set(matching)) == n and set(matching) <= set(range(m))
     rows, cols = linear_sum_assignment(weights, maximize=True)
     assert weights[np.arange(n), matching].sum() == weights[rows, cols].sum()
+
+
+# stands in for an integer literal past the 4300-digit limit of Python's int
+# parser, which neither hypothesis nor json.dumps can print
+HUGE = "<4301 digits>"
+
+
+def dumps(value) -> bytes:
+    return json.dumps(value).replace(json.dumps(HUGE), "9" * 4301).encode()
+
+
+def json_values(strings):
+    """Any JSON value: null, booleans, huge and negative integers, floats with
+    the non-finite ones Python's json reads and writes, strings from
+    ``strings``, and nesting."""
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.sampled_from([-1, 2**63, 2**64, 10**400, HUGE]), st.floats(), strings,
+    )
+    def nest(inner):
+        return st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+    return st.recursive(scalars, nest, max_leaves=8)
+
+
+# the files a fuzzed manifest may name, all inside the temporary directory:
+# views of 6, 6 and 5 instances, 6 labels, a view that is not UTF-8, a file
+# that does not exist, and the manifest itself
+VIEW_FILES = {
+    "a.csv": b"1,2,3,4,5,6\n6,5,4,3,2,1\n",
+    "b.csv": b"0.5 1.5 -2 3 0 1\n",
+    "c.csv": b"1,2,3,4,5\n",
+    "y.csv": b"0\n1\n0\n1\n0\n1\n",
+    "bad.csv": b"1,2,3,4,5,\xff6\n",
+}
+MANIFEST_NAMES = st.sampled_from([*VIEW_FILES, "none.csv", "m.json"])
+TRUTH = b"0\n1\n1\n0\n"
+REPORT = dumps({"labels": [0, 1, 1, 0], "n_clusters": 2})
+
+
+def report_cases():
+    # four labels, mostly in range, against the four-line truth file
+    values = json_values(st.text(max_size=4))
+    labels = st.one_of(
+        st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        st.lists(st.one_of(st.integers(-1, 4), values), min_size=4, max_size=4),
+        values,
+    )
+    counts = st.one_of(st.integers(1, 5), values)
+    fields = st.one_of(
+        st.fixed_dictionaries({"labels": labels, "n_clusters": counts}),
+        st.fixed_dictionaries({}, optional={"labels": labels, "n_clusters": counts}),
+    )
+    return fields.map(lambda report: (
+        {"r.json": dumps(report), "y.csv": TRUTH},
+        ["eval", "r.json", "y.csv"],
+        ("r.json", "y.csv"),
+    ))
+
+
+def labels_file_cases():
+    # four IDs, as the truth for the four-label report, or any lines at all
+    lines = st.one_of(
+        st.lists(st.integers(0, 3).map(str), min_size=4, max_size=4),
+        st.lists(st.one_of(st.integers(-2, 3).map(str), st.text(max_size=6)), max_size=6),
+    )
+    text = st.tuples(lines, st.sampled_from(["", "\n"])).map(lambda t: "\n".join(t[0]) + t[1])
+    content = st.one_of(text.map(str.encode), st.binary(max_size=24))
+    return content.map(lambda text: (
+        {"r.json": REPORT, "y.csv": text}, ["eval", "r.json", "y.csv"], ("y.csv",),
+    ))
+
+
+def manifest_cases():
+    entry = json_values(MANIFEST_NAMES)
+    manifest = st.fixed_dictionaries(
+        {"views": st.one_of(st.lists(MANIFEST_NAMES, min_size=1, max_size=3), entry)},
+        optional={"labels": st.one_of(MANIFEST_NAMES, entry)},
+    )
+    return manifest.map(lambda m: (
+        {**VIEW_FILES, "m.json": dumps(m)},
+        ["baseline", "m.json", "--k", "2"],
+        ("m.json", *VIEW_FILES, "none.csv"),
+    ))
+
+
+# nesting past Python's recursion limit, as a report and as a manifest
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(case=st.one_of(report_cases(), labels_file_cases(), manifest_cases()))
+@hypothesis.example(case=({"r.json": DEEP, "y.csv": TRUTH}, ["eval", "r.json", "y.csv"], ("r.json",)))
+@hypothesis.example(case=({"m.json": DEEP}, ["baseline", "m.json", "--k", "2"], ("m.json",)))
+def test_cli_input_contract(case):
+    # exit 0 with the command's normal output, or exit 1 with one line on
+    # stderr that starts 'error:' and names the file at fault; no exception
+    # escapes cli_main
+    files, argv, at_fault = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        for name, content in files.items():
+            (root / name).write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main([str(root / a) if a in files else a for a in argv])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            if argv[0] == "eval":
+                assert re.fullmatch(r"ACC [01]\.\d{6}\nNMI [01]\.\d{6}\n", out), out
+            else:
+                assert out.startswith("model=concat_regression converged=True "), out
+        else:
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            assert any(str(root / name) in err for name in at_fault), err

@@ -136,7 +136,7 @@ class TestGenerateInteraction:
         np.testing.assert_allclose(np.abs(product), 1.0, atol=1e-12)
 
     def test_magnitudes_within_range(self):
-        ds = generate_interaction(200, magnitude_range=(0.5, 2.0), seed=10)
+        ds = generate_interaction(200, seed=10)
         mags = np.abs(ds.views[0][0])
         assert mags.min() >= 0.5 and mags.max() <= 2.0
 
@@ -148,7 +148,7 @@ class TestGenerateInteraction:
         assert abs(agreement - 0.5) < 0.05
 
     def test_extra_rows_are_noise(self):
-        ds = generate_interaction(60, dims=(3, 2), noise_scale=0.1, seed=12)
+        ds = generate_interaction(60, dims=(3, 2), seed=12)
         assert ds.dims == (3, 2)
         assert np.std(ds.views[0][1]) < 0.5
 
