@@ -40,7 +40,11 @@ def _as_labels(values) -> np.ndarray:
     within the int64 range and non-negative.  Booleans and strings are not
     IDs.  IDs need not be contiguous, since the metrics work over the IDs that
     occur."""
-    labels = np.asarray(values)
+    try:
+        labels = np.asarray(values)
+    except ValueError:
+        # numpy refuses a ragged nested list, which has no shape
+        raise DataError("labels must be a non-empty vector, got a ragged nested list") from None
     if labels.ndim != 1 or labels.size < 1:
         raise DataError(f"labels must be a non-empty vector, got shape {labels.shape}")
     kind = labels.dtype.kind
@@ -226,7 +230,7 @@ def _locate_fault(path: Path) -> DataError | None:
                         _parse_rows([tok])
                     except ValueError:
                         return DataError(
-                            f"{path}:{lineno}: non-numeric token '{tok}' in field {col}"
+                            f"{path}:{lineno}: non-numeric token {tok!r} in field {col}"
                         )
                 return None
             if width is None:
@@ -302,7 +306,7 @@ def _read_labels(path: Path, n: int) -> np.ndarray:
                         _parse_labels([line])
                     except ValueError:
                         raise DataError(
-                            f"{path}:{lineno}: non-integer label '{tok}'"
+                            f"{path}:{lineno}: non-integer label {tok!r}"
                         ) from None
             raise DataError(f"{path}: {exc}") from None
     if labels.size != n:

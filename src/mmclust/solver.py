@@ -117,11 +117,11 @@ class CPWeights:
                 raise ValueError(
                     f"view factor {i} has shape {f.shape}, expected column count {rank}"
                 )
-            if not np.all(np.isfinite(f)):
+            if not np.isfinite(f).all():
                 raise ValueError(f"view factor {i} contains non-finite entries")
         if cluster.ndim != 2 or rank < 1:
             raise ValueError(f"cluster factor has invalid shape {cluster.shape}")
-        if not np.all(np.isfinite(cluster)):
+        if not np.isfinite(cluster).all():
             raise ValueError("cluster factor contains non-finite entries")
         object.__setattr__(self, "view_factors", factors)
         object.__setattr__(self, "cluster_factor", cluster)
@@ -150,9 +150,9 @@ class ClusterIndicator:
         m = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] > m.shape[0]:
             raise ValueError(f"indicator must be N x K with K <= N, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("indicator contains non-finite entries")
-        gram_err = np.max(np.abs(m.T @ m - np.eye(m.shape[1])))
+        gram_err = np.abs(m.T @ m - np.eye(m.shape[1])).max()
         if gram_err > ORTHONORMALITY_TOL:
             raise ValueError(
                 f"indicator columns are not orthonormal (max deviation {gram_err:.3e})"
@@ -374,18 +374,18 @@ def objective(
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     resid = scores - indicator.matrix
-    fit_term = float(np.sum(resid * resid))
+    fit_term = float((resid * resid).sum())
     row_norms = [_row_norms(f) for f in (*weights.view_factors, weights.cluster_factor)]
     row_norm_sum = 0.0
     for norms in row_norms:
-        row_norm_sum += float(np.sum(norms))
+        row_norm_sum += float(norms.sum())
     reg_term = gamma * row_norm_sum
     return fit_term + reg_term, fit_term, reg_term, row_norms
 
 
 def _row_norms(factor: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row."""
-    return np.sqrt(np.sum(factor * factor, axis=1))
+    return np.sqrt((factor * factor).sum(axis=1))
 
 
 def _reweighting(row_norms: np.ndarray) -> np.ndarray:
@@ -464,7 +464,9 @@ def _conjugate_gradient(matvec, b, x0, r0, tol, max_iters):
     budget costs no extra matvec.  ``x``, ``r`` and ``p`` are updated in place
     through one step buffer with the operations of ``x += alpha * p``,
     ``r -= alpha * hp`` and ``p = r + beta * p``, so the iterates are bit for
-    bit those of ``oracle.reference_conjugate_gradient``.
+    bit those of ``oracle.reference_conjugate_gradient``.  Inner products and
+    finiteness checks use the ndarray methods, which run the same BLAS ``ddot``
+    and ufunc reductions as ``@`` and ``np.all`` without their dispatch.
     """
     b = np.asarray(b, dtype=np.float64)
     b_norm = _frobenius(b)
@@ -472,16 +474,16 @@ def _conjugate_gradient(matvec, b, x0, r0, tol, max_iters):
         return np.zeros_like(b), CGStats(0, 0.0, True)
     x = np.array(x0, dtype=np.float64, copy=True)
     r = np.array(r0, dtype=np.float64, copy=True)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise SolverError("conjugate gradient: non-finite residual at start")
     target = tol * b_norm
-    rs = float(r @ r)
+    rs = float(r.dot(r))
     p = r.copy()
     step = np.empty_like(r)
     iterations = 0
     while math.sqrt(rs) > target and iterations < max_iters:
         hp = matvec(p)
-        php = float(p @ hp)
+        php = float(p.dot(hp))
         if not math.isfinite(php):
             raise SolverError("conjugate gradient diverged: non-finite curvature")
         if php <= 0.0:
@@ -490,13 +492,13 @@ def _conjugate_gradient(matvec, b, x0, r0, tol, max_iters):
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(hp, alpha, out=step)
         iterations += 1
-        rs_new = float(r @ r)
+        rs_new = float(r.dot(r))
         if not math.isfinite(rs_new):
             raise SolverError("conjugate gradient diverged: non-finite residual")
         if math.sqrt(rs_new) <= target:
             # confirm with the true residual; restart from it if drift remains
             r = b - matvec(x)
-            rs = float(r @ r)
+            rs = float(r.dot(r))
             if math.sqrt(rs) <= target:
                 break
             p[:] = r
@@ -504,9 +506,9 @@ def _conjugate_gradient(matvec, b, x0, r0, tol, max_iters):
         p *= rs_new / rs
         p += r
         rs = rs_new
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SolverError("conjugate gradient diverged: non-finite iterate")
-    # ``rs`` is ``r @ r`` for the ``r`` the loop leaves
+    # ``rs`` is ``r.dot(r)`` for the ``r`` the loop leaves
     residual = math.sqrt(rs) / b_norm
     return x, CGStats(iterations, residual, residual <= tol)
 
@@ -611,7 +613,7 @@ def update_cluster_weights(
             w = w + np.linalg.solve(mats, equation_defect(w)[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             return None
         return w
 
@@ -641,7 +643,7 @@ def update_cluster_weights(
 def nearest_orthonormal(matrix) -> np.ndarray:
     """Closest matrix with orthonormal columns in Frobenius norm, via SVD."""
     a = np.asarray(matrix, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise SolverError("nearest_orthonormal received non-finite entries")
     u, _, vt = np.linalg.svd(a, full_matrices=False)
     return u @ vt

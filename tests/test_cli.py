@@ -287,6 +287,8 @@ class TestFitAndEval:
         ("true", "labels must be integers, not booleans"),
         # in int64 but past the report's own cluster count
         ("5", "labels must be below n_clusters = 2, got 5"),
+        # a ragged list, which numpy cannot shape; both fields are present
+        ("[1, 2]", "labels must be a non-empty vector, got a ragged nested list"),
     ])
     def test_eval_rejects_report_labels_outside_int64(self, tmp_path, capsys, label, message):
         report = tmp_path / "report.json"
@@ -321,6 +323,28 @@ class TestInputFiles:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize(
+        "kind,where",
+        [("view", ":2: non-numeric token "), ("labels", ":2: non-integer label ")],
+        ids=["view", "labels"],
+    )
+    def test_control_characters_in_a_file_are_escaped(self, tmp_path, capsys, kind, where):
+        # an ANSI escape sequence in a rejected token must not reach the
+        # terminal raw; the error still names the file and line
+        files = {"view": tmp_path / "v.csv", "labels": tmp_path / "y.csv"}
+        files["view"].write_text("1,2,3,4\n4,3,2,1\n")
+        files["labels"].write_text("0\n1\n1\n0\n")
+        bad = files[kind]
+        lines = bad.read_text().split("\n")
+        lines[1] = "\x1b[31mred"
+        bad.write_text("\n".join(lines))
+        (tmp_path / "m.json").write_text(json.dumps({"views": ["v.csv"], "labels": "y.csv"}))
+        code, out, err = run(capsys, "baseline", str(tmp_path / "m.json"), "--k", "2")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}{where}") and err.endswith("\n")
+        assert "\\x1b[31mred" in err
+        assert all(byte >= 0x20 for byte in err[:-1].encode())
 
 
 class TestBaseline:

@@ -167,8 +167,9 @@ class TestLoadDataset:
             ("0\n1\n\n1.0\n", r"labels\.csv:4: non-integer label '1\.0'"),
             ("1_0\n0\n1\n", r"labels\.csv:1: non-integer label '1_0'"),
             ("0\n1\n# note\n", r"labels\.csv:3: non-integer label '# note'"),
-            # numpy's integer reader can crash on this code point
-            ("0\n\U000f0000\n1\n", r"labels\.csv:2: non-integer label '\U000f0000'"),
+            # numpy's integer reader can crash on this code point; the message
+            # escapes it, as it does every character that is not printable
+            ("0\n\U000f0000\n1\n", r"labels\.csv:2: non-integer label '\\U000f0000'"),
             ("0\n-1\n0\n", r"labels\.csv: labels must be non-negative"),
         ],
         ids=[

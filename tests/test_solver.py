@@ -115,6 +115,34 @@ class TestInitModel:
         assert INIT_SCALE / 2 < max(peaks) and max(peaks) <= INIT_SCALE
 
 
+class TestModelStateValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_view_factor_rejected(self, bad):
+        factor = np.zeros((3, 2))
+        factor[1, 0] = bad
+        with pytest.raises(ValueError, match="view factor 1 contains non-finite entries"):
+            CPWeights((np.zeros((4, 2)), factor), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_cluster_factor_rejected(self, bad):
+        cluster = np.zeros((3, 2))
+        cluster[2, 1] = bad
+        with pytest.raises(ValueError, match="cluster factor contains non-finite entries"):
+            CPWeights((np.zeros((4, 2)),), cluster)
+
+    def test_non_finite_indicator_rejected(self):
+        m = np.eye(4)[:, :2]
+        m[3, 1] = np.nan
+        with pytest.raises(ValueError, match="indicator contains non-finite entries"):
+            ClusterIndicator(m)
+
+    def test_non_orthonormal_indicator_rejected(self):
+        m = np.eye(4)[:, :2]
+        m[0, 1] = 1e-6
+        with pytest.raises(ValueError, match=r"not orthonormal \(max deviation 1\.000e-06\)"):
+            ClusterIndicator(m)
+
+
 class TestComputeEmbedding:
     def test_single_view_coordinate_projection(self):
         rng = np.random.default_rng(5)
@@ -394,6 +422,24 @@ class TestConjugateGradient:
                 restarts += len(calls) - stats.iterations - 1 - int(stats.converged)
                 calls.clear()
         assert restarts > 0
+
+    def test_non_finite_start_residual_rejected(self):
+        h, b, matvec, calls = self._counted_system(43)
+        r0 = b.copy()
+        r0[5] = np.inf
+        with pytest.raises(SolverError, match="non-finite residual at start"):
+            _conjugate_gradient(matvec, b, np.zeros_like(b), r0, 1e-10, 100)
+        assert not calls
+
+    def test_non_finite_iterate_rejected(self):
+        # a finite start residual with a NaN in the warm start: every step
+        # keeps the NaN in x, and the solve refuses to return it
+        h, b, matvec, calls = self._counted_system(44)
+        x0 = np.zeros_like(b)
+        x0[3] = np.nan
+        with pytest.raises(SolverError, match="non-finite iterate"):
+            _conjugate_gradient(matvec, b, x0, b.copy(), 1e-10, 3)
+        assert len(calls) == 3
 
 
 class TestUpdateViewWeights:
