@@ -8,16 +8,14 @@ Verbosity is controlled by the ``MMCLUST_LOG`` environment variable (one of
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data import (
-    DataError, MultiViewDataset, _as_count, _as_labels, _read_json, _read_labels, load_dataset,
+    DataError, MultiViewDataset, _as_count, _as_labels, _read_json, _read_labels, _write_dataset,
+    load_dataset,
 )
 from .metrics import Partition, accuracy, nmi
 from .solver import FitConfig, SolverError, fit
@@ -31,18 +29,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"expected a comma-separated integer list, got '{text}'") from None
-
-
-def _write_matrix(path: Path, matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def _write_labels(path: Path, labels: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for value in labels:
-            fh.write(f"{int(value)}\n")
 
 
 def _fit_config_from(args: argparse.Namespace, rank: int | None = None) -> FitConfig:
@@ -63,31 +49,25 @@ def _fit_config_from(args: argparse.Namespace, rank: int | None = None) -> FitCo
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    dims = _parse_int_list(args.dims)
     spec = SynthSpec(
         n_instances=args.n,
         n_views=args.views,
         n_clusters=args.k,
-        dims=dims,
+        dims=_parse_int_list(args.dims),
         separation=args.sep,
         noise_views=args.noise_views,
         seed=args.seed,
     )
-    dataset = generate(spec)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    view_files = []
-    for i, view in enumerate(dataset.views, start=1):
-        name = f"view{i}.csv"
-        _write_matrix(out_dir / name, view)
-        view_files.append(name)
-    _write_labels(out_dir / "labels.csv", dataset.labels)
-    manifest = {"views": view_files, "labels": "labels.csv"}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_dataset(generate(spec), out_dir)
     print(f"wrote {spec.n_views} views, labels.csv, and manifest.json to {out_dir}")
     return 0
+
+
+def _write_report(report, out: str, what: str = "report") -> None:
+    # through this module's ``Path``, so that a patched ``Path`` sees every report write
+    Path(out).write_text(report.to_json() + "\n", encoding="utf-8")
+    print(f"{what} written to {out}")
 
 
 def _print_and_write(report, out: str | None) -> int:
@@ -96,13 +76,15 @@ def _print_and_write(report, out: str | None) -> int:
         f"iterations={report.n_iterations} objective={report.trace[-1].objective:.6e}"
     )
     if out:
-        Path(out).write_text(report.to_json() + "\n", encoding="utf-8")
-        print(f"report written to {out}")
+        _write_report(report, out)
     return 0
 
 
 def _load(args: argparse.Namespace) -> MultiViewDataset:
-    """The manifest's dataset, which must hold at least ``--k`` instances."""
+    """The manifest's dataset, which must hold at least ``--k`` instances;
+    ``--k`` below 1 is rejected before the manifest is read."""
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
     dataset = load_dataset(args.manifest)
     if args.k > dataset.n_instances:
         raise DataError(
@@ -144,8 +126,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             best = (rank, nmi_val, acc_val, report)
     print(f"best rank {best[0]} by NMI ({best[1]:.6f}, ACC {best[2]:.6f})")
     if args.out:
-        Path(args.out).write_text(best[3].to_json() + "\n", encoding="utf-8")
-        print(f"best report written to {args.out}")
+        _write_report(best[3], args.out, "best report")
     return 0
 
 
@@ -284,7 +265,10 @@ def cli_main(argv=None) -> int:
     try:
         return args.handler(args)
     except (DataError, SolverError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # paths and tokens from the input may hold control characters; each
+        # is escaped so the one error line reaches the terminal as text
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

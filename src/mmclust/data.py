@@ -332,10 +332,11 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     view_paths = manifest["views"]
     if not view_paths:
         raise DataError(f"{path}: manifest lists no views")
-    if not all(isinstance(p, str) for p in view_paths):
+    # an empty name would resolve to the manifest's directory
+    if not all(isinstance(p, str) and p for p in view_paths):
         raise DataError(f"{path}: every 'views' entry must be a file name string")
     labels_file = manifest.get("labels")
-    if labels_file is not None and not isinstance(labels_file, str):
+    if labels_file is not None and not (isinstance(labels_file, str) and labels_file):
         raise DataError(f"{path}: 'labels' must be a file name string")
 
     base = path.parent
@@ -348,8 +349,29 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
                 f"{p} has {v.shape[1]}"
             )
 
-    labels = _read_labels(base / labels_file, n) if labels_file else None
+    labels = None if labels_file is None else _read_labels(base / labels_file, n)
     return MultiViewDataset(tuple(views), labels=labels)
+
+
+def _write_dataset(dataset: MultiViewDataset, out_dir: Path) -> None:
+    """Write a labelled ``dataset`` into ``out_dir`` as ``load_dataset``
+    reads it: ``view1.csv``, ``view2.csv``, ... with one feature per line,
+    ``labels.csv`` with one ID per line, and ``manifest.json`` naming them.
+    Values are written by ``repr``, so they read back bit for bit."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    view_files = [f"view{i}.csv" for i in range(1, dataset.n_views + 1)]
+    for name, view in zip(view_files, dataset.views):
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            # one row of Python floats in memory at a time
+            for row in view:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
+    (out_dir / "labels.csv").write_text(
+        "".join(f"{v}\n" for v in dataset.labels.tolist()), encoding="utf-8"
+    )
+    manifest = {"views": view_files, "labels": "labels.csv"}
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def normalize_views(dataset: MultiViewDataset) -> MultiViewDataset:

@@ -46,11 +46,9 @@ class Partition:
         return self.labels.size
 
 
-def _contingency(
-    true_p: Partition, pred_p: Partition
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """Contingency table over the labels that occur, with the true and the
-    predicted label of each row and column, in increasing order.
+def _contingency(true_p: Partition, pred_p: Partition) -> np.ndarray:
+    """Contingency table over the labels that occur: one row per true label
+    and one column per predicted label, in increasing order.
 
     Labels without instances would only add all-zero rows and columns, so the
     table's size is bounded by the instances, not by the largest label.
@@ -63,8 +61,7 @@ def _contingency(
     pred_ids, pred_idx = np.unique(pred_p.labels, return_inverse=True)
     shape = (true_ids.size, pred_ids.size)
     cells = np.ravel_multi_index((true_idx, pred_idx), shape)
-    table = np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
-    return table, true_ids.tolist(), pred_ids.tolist()
+    return np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def _max_weight_matching(weights: list[list[int]]) -> list[int]:
@@ -135,7 +132,7 @@ def _matched_pairs(table: np.ndarray) -> list[tuple[int, int]]:
 
 def accuracy(true_p: Partition, pred_p: Partition) -> float:
     """Fraction of instances matched under the optimal label mapping."""
-    table = _contingency(true_p, pred_p)[0]
+    table = _contingency(true_p, pred_p)
     matched = sum(int(table[i, j]) for i, j in _matched_pairs(table))
     return matched / true_p.n
 
@@ -147,7 +144,7 @@ def nmi(true_p: Partition, pred_p: Partition) -> float:
     when both partitions are single-cluster (both entropies zero), 0.0 when
     exactly one entropy is zero.
     """
-    table = _contingency(true_p, pred_p)[0].astype(np.float64)
+    table = _contingency(true_p, pred_p).astype(np.float64)
     n = true_p.n
     true_counts = table.sum(axis=1)
     pred_counts = table.sum(axis=0)

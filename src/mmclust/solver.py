@@ -248,29 +248,23 @@ class FitReport:
     def to_dict(self, include_timing: bool = True) -> dict:
         """Plain-Python representation, ready for JSON serialization.
 
-        With ``include_timing=False`` all wall-clock fields are dropped, which
-        makes the result bit-reproducible across runs with the same config.
+        Each trace entry holds its ``IterationRecord``'s fields, and each CG
+        entry its ``CGStats``'s.  The wall-clock fields are the ones named
+        ``*_sec``; ``include_timing=False`` drops them, which makes the result
+        bit-reproducible across runs with the same config.
         """
+
+        def timed(fields: dict) -> dict:
+            if include_timing:
+                return fields
+            return {k: v for k, v in fields.items() if not k.endswith("_sec")}
+
         trace = []
         for rec in self.trace:
-            entry = {
-                "iteration": rec.iteration,
-                "objective": float(rec.objective),
-                "fit_term": float(rec.fit_term),
-                "reg_term": float(rec.reg_term),
-                "cg": [
-                    {
-                        "iterations": s.iterations,
-                        "residual": float(s.residual),
-                        "converged": s.converged,
-                    }
-                    for s in rec.cg
-                ],
-            }
-            if include_timing:
-                entry["elapsed_sec"] = float(rec.elapsed_sec)
-            trace.append(entry)
-        out = {
+            entry = asdict(rec)
+            entry["cg"] = list(entry["cg"])  # a list, as JSON reads it back
+            trace.append(timed(entry))
+        return timed({
             "model": self.model,
             "n_clusters": int(self.n_clusters),
             "config": asdict(self.config),
@@ -282,10 +276,8 @@ class FitReport:
             "indicator": self.indicator.matrix.tolist(),
             "view_factors": [f.tolist() for f in self.weights.view_factors],
             "cluster_factor": self.weights.cluster_factor.tolist(),
-        }
-        if include_timing:
-            out["total_time_sec"] = float(self.total_time_sec)
-        return out
+            "total_time_sec": float(self.total_time_sec),
+        })
 
     def to_json(self, include_timing: bool = True) -> str:
         """Compact JSON with sorted keys."""

@@ -9,7 +9,7 @@ import pytest
 from mmclust import cli
 from mmclust.cli import cli_main
 from mmclust.metrics import Partition, accuracy
-from mmclust.solver import FitConfig
+from mmclust.solver import CGStats, FitConfig, IterationRecord, fit
 
 
 def run(capsys, *argv):
@@ -151,7 +151,14 @@ class TestFitAndEval:
         report = json.loads(report_path.read_text())
         assert report["config"] == dataclasses.asdict(FitConfig(rank=4, seed=7))
 
-    def test_report_schema(self, small_dataset, tmp_path, capsys):
+    def test_report_schema(self, small_dataset, tmp_path, capsys, monkeypatch):
+        reports = []
+
+        def capture(*args):
+            reports.append(fit(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "fit", capture)
         report_path = tmp_path / "report.json"
         code, _, _ = run(
             capsys,
@@ -160,20 +167,27 @@ class TestFitAndEval:
         )
         assert code == 0
         report = json.loads(report_path.read_text())
-        for key in (
+        assert set(report) == {
             "model", "n_clusters", "config", "converged", "n_iterations",
             "objective", "trace", "labels", "indicator", "view_factors",
             "cluster_factor", "total_time_sec",
-        ):
-            assert key in report, key
+        }
         assert len(report["trace"]) == report["n_iterations"]
+        # trace and CG entries are their records' fields, by name
+        record_fields = {f.name for f in dataclasses.fields(IterationRecord)}
+        cg_fields = {f.name for f in dataclasses.fields(CGStats)}
+        assert all(set(entry) == record_fields for entry in report["trace"])
+        assert all(set(s) == cg_fields for entry in report["trace"] for s in entry["cg"])
         first = report["trace"][0]
-        for key in ("iteration", "objective", "fit_term", "reg_term", "cg", "elapsed_sec"):
-            assert key in first, key
         assert len(first["cg"]) == 2  # one CG record per view
         assert len(report["view_factors"]) == 2
         assert len(report["view_factors"][0]) == 6  # D_0 + 1 rows
         assert len(report["cluster_factor"]) == 3
+        # without timing, exactly the two wall-clock fields are gone
+        untimed = reports[0].to_dict(include_timing=False)
+        assert set(untimed) == set(report) - {"total_time_sec"}
+        assert all(set(entry) == record_fields - {"elapsed_sec"} for entry in untimed["trace"])
+        assert all(set(s) == cg_fields for entry in untimed["trace"] for s in entry["cg"])
 
     def test_fit_report_deterministic_apart_from_timing(
         self, small_dataset, tmp_path, capsys
@@ -189,6 +203,13 @@ class TestFitAndEval:
             assert code == 0
         a, b = (strip_timing(json.loads(p.read_text())) for p in paths)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize("command", ["fit", "baseline", "sweep"])
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_is_diagnosed(self, tmp_path, capsys, command, k):
+        # rejected before the manifest is read, in the same words everywhere
+        code, out, err = run(capsys, command, str(tmp_path / "absent.json"), "--k", k)
+        assert (code, out, err) == (1, "", f"error: --k must be at least 1, got {k}\n")
 
     def test_k_larger_than_n_is_diagnosed(self, small_dataset, capsys):
         code, _, err = run(
@@ -344,6 +365,24 @@ class TestInputFiles:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {bad}{where}") and err.endswith("\n")
         assert "\\x1b[31mred" in err
+        assert all(byte >= 0x20 for byte in err[:-1].encode())
+
+    @pytest.mark.parametrize("kind", ["manifest", "eval"])
+    def test_control_characters_in_a_path_are_escaped(self, tmp_path, capsys, kind):
+        # a file name from a manifest or from the command line reaches the
+        # error line escaped, and still names the file
+        name = "v\x1b[31m.csv"
+        (tmp_path / "m.json").write_text(json.dumps({"views": [name]}))
+        (tmp_path / "r.json").write_text(json.dumps({"labels": [0, 1], "n_clusters": 2}))
+        if kind == "manifest":
+            argv = ["baseline", str(tmp_path / "m.json"), "--k", "2"]
+            message = "matrix file not found"
+        else:
+            argv = ["eval", str(tmp_path / "r.json"), str(tmp_path / name)]
+            message = "labels file not found"
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}: {tmp_path / 'v'}\\x1b[31m.csv\n"
         assert all(byte >= 0x20 for byte in err[:-1].encode())
 
 

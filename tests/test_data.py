@@ -10,6 +10,7 @@ from mmclust.data import (
     AugmentedViews,
     DataError,
     MultiViewDataset,
+    _write_dataset,
     augment,
     load_dataset,
     normalize_views,
@@ -55,6 +56,23 @@ class TestLoadDataset:
         ds = load_dataset(path)
         np.testing.assert_array_equal(ds.labels, [0, 1, 0])
 
+    def test_written_dataset_reads_back_bit_for_bit(self, tmp_path):
+        # signed zero, the least subnormal and normal, the largest finite
+        # value, and values without a short binary form
+        edge = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+        rng = np.random.default_rng(0)
+        views = (
+            np.array([edge, [-x for x in edge]]),
+            rng.standard_normal((3, 6)) * 10.0 ** rng.integers(-300, 300, size=(3, 6)),
+        )
+        labels = np.array([7, 0, 3, 3, 0, 12])
+        _write_dataset(MultiViewDataset(views, labels=labels), tmp_path / "out")
+        ds = load_dataset(tmp_path / "out" / "manifest.json")
+        assert len(ds.views) == 2
+        for read, written in zip(ds.views, views):
+            assert read.tobytes() == written.tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
+
     def test_unknown_manifest_keys_ignored(self, tmp_path):
         # manifests written before view names were dropped still load
         path = write_dataset(tmp_path, [[[1.0]], [[2.0]]])
@@ -68,11 +86,14 @@ class TestLoadDataset:
         [
             ("views", [1, 2], "'views' entry"),
             ("labels", 5, "'labels'"),
+            ("views", [""], "'views' entry"),
+            ("labels", "", "'labels'"),
         ],
     )
     def test_manifest_field_types(self, tmp_path, field, value, message):
         # a wrong JSON type gets a one-line diagnostic, not a TypeError from
-        # path handling
+        # path handling; an empty name would resolve to the manifest's
+        # directory, or read as no labels file at all
         path = write_dataset(tmp_path, [[[1.0, 2.0]], [[3.0, 4.0]]])
         manifest = json.loads(path.read_text())
         manifest[field] = value

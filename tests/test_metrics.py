@@ -23,7 +23,8 @@ class TestPartition:
 
 def matching(true, pred):
     """Predicted-to-true label map of the matching ``accuracy`` counts."""
-    table, true_ids, pred_ids = metrics._contingency(true, pred)
+    table = metrics._contingency(true, pred)
+    true_ids, pred_ids = np.unique(true.labels).tolist(), np.unique(pred.labels).tolist()
     return {pred_ids[j]: true_ids[i] for i, j in _matched_pairs(table)}
 
 
