@@ -26,7 +26,7 @@ __all__ = ["cli_main", "main"]
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"expected a comma-separated integer list, got '{text}'") from None
 
@@ -109,8 +109,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if dataset.labels is None:
         raise DataError("sweep needs ground-truth labels: add a labels file to the manifest")
     ranks = _parse_int_list(args.ranks)
-    if not ranks:
-        raise ValueError("sweep needs at least one rank")
     true_p = Partition.from_labels(dataset.labels)
     best = None
     for rank in ranks:

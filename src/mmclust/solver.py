@@ -252,6 +252,11 @@ class FitReport:
         entry its ``CGStats``'s.  The wall-clock fields are the ones named
         ``*_sec``; ``include_timing=False`` drops them, which makes the result
         bit-reproducible across runs with the same config.
+
+        The N x K indicator is left out: a fit's is the nearest orthonormal
+        matrix to the factors' scores on the normalized, augmented views, and
+        a baseline's is its closed form, so the model and the dataset rebuild
+        it.
         """
 
         def timed(fields: dict) -> dict:
@@ -273,7 +278,6 @@ class FitReport:
             "objective": float(self.trace[-1].objective),
             "trace": trace,
             "labels": self.labels.tolist(),
-            "indicator": self.indicator.matrix.tolist(),
             "view_factors": [f.tolist() for f in self.weights.view_factors],
             "cluster_factor": self.weights.cluster_factor.tolist(),
             "total_time_sec": float(self.total_time_sec),

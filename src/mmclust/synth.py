@@ -69,8 +69,8 @@ class SynthSpec:
             )
         if any(d < 1 for d in self.dims):
             raise ValueError("every view dimensionality must be positive")
-        if self.separation < 0:
-            raise ValueError("separation must be non-negative")
+        if not 0 <= self.separation < float("inf"):
+            raise ValueError("separation must be finite and non-negative")
         if not 0 <= self.noise_views <= self.n_views:
             raise ValueError("noise_views must be between 0 and n_views")
 

@@ -1,15 +1,27 @@
 """Command-line interface: end-to-end runs, defaults, and failure modes."""
 
+import ctypes
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mmclust import cli
 from mmclust.cli import cli_main
+from mmclust.data import augment, load_dataset, normalize_views
 from mmclust.metrics import Partition, accuracy
-from mmclust.solver import CGStats, FitConfig, IterationRecord, fit
+from mmclust.solver import (
+    CGStats, ClusterIndicator, CPWeights, FitConfig, IterationRecord, extract_labels, fit,
+    nearest_orthonormal, predict_scores,
+)
+
+# every key of a fit or baseline report; the N x K indicator is not one of them
+REPORT_KEYS = {
+    "model", "n_clusters", "config", "converged", "n_iterations", "objective",
+    "trace", "labels", "view_factors", "cluster_factor", "total_time_sec",
+}
 
 
 def run(capsys, *argv):
@@ -28,6 +40,26 @@ def strip_timing(obj):
     if isinstance(obj, list):
         return [strip_timing(v) for v in obj]
     return obj
+
+
+@pytest.fixture()
+def one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread, and restore it afterwards."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("libscipy_openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        for suffix in ("64_", ""):
+            get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                before = get()
+                put(1)
+                yield
+                put(before)
+                return
+    pytest.skip(f"no bundled OpenBLAS under {libdir} to pin to one thread")
 
 
 @pytest.fixture()
@@ -68,8 +100,40 @@ class TestGen:
         assert code == 1
         assert "error:" in err and "dims" in err
 
+    @pytest.mark.parametrize("sep", ["nan", "inf"])
+    def test_non_finite_separation_is_diagnosed(self, tmp_path, capsys, sep):
+        # rejected by the spec, not later as a non-finite view
+        code, _, err = run(
+            capsys,
+            "gen", "--n", "10", "--k", "2", "--views", "2", "--dims", "3,3",
+            "--sep", sep, "--out", str(tmp_path / "d"),
+        )
+        assert (code, err) == (1, "error: separation must be finite and non-negative\n")
+
+    @pytest.mark.parametrize("dims", ["5,,4", "5,4,", ",5,4", "5, ,4"])
+    def test_stray_comma_in_dims_is_an_error(self, tmp_path, capsys, dims):
+        # each field is one integer; an empty one is not skipped
+        out = tmp_path / "d"
+        code, stdout, err = run(
+            capsys,
+            "gen", "--n", "10", "--k", "2", "--views", "2", "--dims", dims,
+            "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: expected a comma-separated integer list, got '{dims}'\n"
+        assert not out.exists()
+
+    def test_dims_may_hold_spaces(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code, _, err = run(
+            capsys,
+            "gen", "--n", "10", "--k", "2", "--views", "2", "--dims", " 5, 4",
+            "--out", str(out),
+        )
+        assert code == 0, err
+        assert load_dataset(out / "manifest.json").dims == (5, 4)
+
     def test_matrix_files_round_trip(self, small_dataset, capsys):
-        from mmclust.data import load_dataset
         from mmclust.synth import SynthSpec, generate
 
         ds = load_dataset(small_dataset / "manifest.json")
@@ -90,8 +154,6 @@ class TestGen:
             "--sep", "9", "--noise-views", "1", "--seed", "2", "--out", str(out),
         )
         assert code == 0
-        from mmclust.data import load_dataset
-
         ds = load_dataset(out / "manifest.json")
         # trailing view carries no class signal
         noise = ds.views[1]
@@ -167,11 +229,7 @@ class TestFitAndEval:
         )
         assert code == 0
         report = json.loads(report_path.read_text())
-        assert set(report) == {
-            "model", "n_clusters", "config", "converged", "n_iterations",
-            "objective", "trace", "labels", "indicator", "view_factors",
-            "cluster_factor", "total_time_sec",
-        }
+        assert set(report) == REPORT_KEYS
         assert len(report["trace"]) == report["n_iterations"]
         # trace and CG entries are their records' fields, by name
         record_fields = {f.name for f in dataclasses.fields(IterationRecord)}
@@ -188,6 +246,23 @@ class TestFitAndEval:
         assert set(untimed) == set(report) - {"total_time_sec"}
         assert all(set(entry) == record_fields - {"elapsed_sec"} for entry in untimed["trace"])
         assert all(set(s) == cg_fields for entry in untimed["trace"] for s in entry["cg"])
+
+    def test_baseline_report_schema(self, small_dataset, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code, _, err = run(
+            capsys,
+            "baseline", str(small_dataset / "manifest.json"),
+            "--k", "3", "--out", str(report_path),
+        )
+        assert code == 0, err
+        report = json.loads(report_path.read_text())
+        assert set(report) == REPORT_KEYS
+        record_fields = {f.name for f in dataclasses.fields(IterationRecord)}
+        assert [set(entry) for entry in report["trace"]] == [record_fields]
+        assert report["trace"][0]["cg"] == []  # a closed form runs no CG
+        # one concatenated view of D_0 + D_1 + 1 rows, and an identity cluster factor
+        assert np.array(report["view_factors"]).shape == (1, 5 + 4 + 1, 3)
+        assert report["cluster_factor"] == np.eye(3).tolist()
 
     def test_fit_report_deterministic_apart_from_timing(
         self, small_dataset, tmp_path, capsys
@@ -462,8 +537,49 @@ class TestReportFile:
         expected = accuracy(truth, Partition.from_labels(reports[0].labels, k=3))
         assert printed["ACC"] == f"{expected:.6f}"
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_report_rebuilds_its_indicator(
+        self, small_dataset, tmp_path, capsys, monkeypatch, one_blas_thread, seed
+    ):
+        # the report holds the model, not the indicator: the serialized
+        # factors and the manifest's views give back the in-memory indicator,
+        # bit for bit, and its K-means labels
+        reports = []
+
+        def capture(*args):
+            reports.append(fit(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "fit", capture)
+        report_path = tmp_path / "report.json"
+        code, _, err = run(
+            capsys,
+            "fit", str(small_dataset / "manifest.json"),
+            "--k", "3", "--rank", "4", "--max-iters", "10", "--seed", str(seed),
+            "--out", str(report_path),
+        )
+        assert code == 0, err
+        saved = json.loads(report_path.read_text())
+        weights = CPWeights(
+            tuple(np.array(f) for f in saved["view_factors"]), np.array(saved["cluster_factor"])
+        )
+        z = augment(normalize_views(load_dataset(small_dataset / "manifest.json")))
+        rebuilt = nearest_orthonormal(predict_scores(z, weights))
+        assert np.array_equal(rebuilt, reports[0].indicator.matrix)
+        assert extract_labels(ClusterIndicator(rebuilt), seed=seed).tolist() == saved["labels"]
+
 
 class TestSweep:
+    @pytest.mark.parametrize("ranks", ["3,,5", "3,5,"])
+    def test_stray_comma_in_ranks_is_an_error(self, small_dataset, capsys, ranks):
+        code, stdout, err = run(
+            capsys,
+            "sweep", str(small_dataset / "manifest.json"),
+            "--k", "3", "--ranks", ranks, "--max-iters", "2",
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: expected a comma-separated integer list, got '{ranks}'\n"
+
     def test_sweep_defaults_to_standard_grid(self, small_dataset, capsys):
         code, stdout, err = run(
             capsys,

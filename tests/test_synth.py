@@ -28,6 +28,11 @@ class TestSynthSpec:
         with pytest.raises(ValueError, match="noise_views"):
             SynthSpec(n_instances=10, n_views=2, n_clusters=2, dims=(3, 3), noise_views=3)
 
+    @pytest.mark.parametrize("separation", [float("nan"), float("inf"), -1.0])
+    def test_separation_finite_and_non_negative(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite and non-negative"):
+            SynthSpec(n_instances=10, n_views=1, n_clusters=2, dims=(3,), separation=separation)
+
 
 class TestGenerate:
     def test_deterministic_from_seed(self):
