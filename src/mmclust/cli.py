@@ -1,8 +1,9 @@
-"""Command-line surface: generate benchmarks, fit models, sweep ranks,
-evaluate predictions, and report the oracle cross-checks of ``oracle.run_checks``.
+"""Command-line surface: generate benchmarks, fit models, evaluate
+predictions, and report the oracle cross-checks of ``oracle.run_checks``.
 
-Verbosity is controlled by the ``MMCLUST_LOG`` environment variable (one of
-``debug``, ``info``, ``warning``, ``error``).
+Verbosity is set by the ``MMCLUST_LOG`` environment variable: ``debug``, ``info``,
+``warning`` (the default), ``error`` or ``critical``.  Any other value is named
+in a ``warning:`` line on stderr and read as ``warning``.
 """
 
 from __future__ import annotations
@@ -31,18 +32,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected a comma-separated integer list, got '{text}'") from None
 
 
-def _fit_config_from(args: argparse.Namespace, rank: int | None = None) -> FitConfig:
-    return FitConfig(
-        rank=args.rank if rank is None else rank,
-        gamma=args.gamma,
-        max_outer_iters=args.max_iters,
-        outer_tol=args.tol,
-        cg_tol=args.cg_tol,
-        cg_max_iters=args.cg_max_iters,
-        seed=args.seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -64,19 +53,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_report(report, out: str, what: str = "report") -> None:
-    # through this module's ``Path``, so that a patched ``Path`` sees every report write
-    Path(out).write_text(report.to_json() + "\n", encoding="utf-8")
-    print(f"{what} written to {out}")
-
-
 def _print_and_write(report, out: str | None) -> int:
     print(
         f"model={report.model} converged={report.converged} "
         f"iterations={report.n_iterations} objective={report.trace[-1].objective:.6e}"
     )
     if out:
-        _write_report(report, out)
+        # through this module's ``Path``, so that a patched ``Path`` sees every report write
+        Path(out).write_text(report.to_json() + "\n", encoding="utf-8")
+        print(f"report written to {out}")
     return 0
 
 
@@ -95,37 +80,17 @@ def _load(args: argparse.Namespace) -> MultiViewDataset:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     dataset = _load(args)
-    return _print_and_write(fit(dataset, args.k, _fit_config_from(args)), args.out)
+    config = FitConfig(
+        rank=args.rank, gamma=args.gamma, max_outer_iters=args.max_iters, outer_tol=args.tol,
+        cg_tol=args.cg_tol, cg_max_iters=args.cg_max_iters, seed=args.seed,
+    )
+    return _print_and_write(fit(dataset, args.k, config), args.out)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     dataset = _load(args)
     config = FitConfig(rank=args.k, gamma=args.gamma, seed=args.seed)
     return _print_and_write(baseline_regression_cluster(dataset, args.k, config), args.out)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    dataset = _load(args)
-    if dataset.labels is None:
-        raise DataError("sweep needs ground-truth labels: add a labels file to the manifest")
-    ranks = _parse_int_list(args.ranks)
-    true_p = Partition.from_labels(dataset.labels)
-    best = None
-    for rank in ranks:
-        report = fit(dataset, args.k, _fit_config_from(args, rank=rank))
-        pred_p = Partition.from_labels(report.labels, k=args.k)
-        acc_val = accuracy(true_p, pred_p)
-        nmi_val = nmi(true_p, pred_p)
-        print(
-            f"rank {rank}: ACC {acc_val:.6f} NMI {nmi_val:.6f} "
-            f"converged={report.converged} iterations={report.n_iterations}"
-        )
-        if best is None or nmi_val > best[1]:
-            best = (rank, nmi_val, acc_val, report)
-    print(f"best rank {best[0]} by NMI ({best[1]:.6f}, ACC {best[2]:.6f})")
-    if args.out:
-        _write_report(best[3], args.out, "best report")
-    return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -177,10 +142,8 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="write the JSON report here")
 
 
-def _add_fit_options(p: argparse.ArgumentParser, with_rank: bool = True) -> None:
-    if with_rank:
-        p.add_argument("--rank", type=int, default=FitConfig.rank,
-                       help="number of factor components")
+def _add_fit_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rank", type=int, default=FitConfig.rank, help="number of factor components")
     _add_model_options(p)
     p.add_argument("--tol", type=float, default=FitConfig.outer_tol,
                    help="relative objective-change stop threshold")
@@ -222,13 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_options(p)
     p.set_defaults(handler=_cmd_baseline)
 
-    p = sub.add_parser("sweep", help="fit over a rank grid and report the best by NMI")
-    p.add_argument("manifest", type=str, help="dataset manifest (JSON), must declare labels")
-    p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--ranks", type=str, default="10,20,30,40,50", help="comma-separated rank grid")
-    _add_fit_options(p, with_rank=False)
-    p.set_defaults(handler=_cmd_sweep, rank=None)
-
     p = sub.add_parser("eval", help="score a report's labels against ground truth")
     p.add_argument("report", type=str, help="fit report (JSON)")
     p.add_argument("labels", type=str, help="ground-truth labels file, one integer per line")
@@ -242,9 +198,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    name = os.environ.get("MMCLUST_LOG", "warning").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
+    levels = {
+        "debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING,
+        "error": logging.ERROR, "critical": logging.CRITICAL,
+    }
+    name = os.environ.get("MMCLUST_LOG", "warning")
+    level = levels.get(name.lower())
+    if level is None:
+        print(f"warning: MMCLUST_LOG={name!r} is not one of {', '.join(levels)}; "
+              "using warning", file=sys.stderr)
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 

@@ -187,6 +187,8 @@ class FitConfig:
             raise ValueError("iteration limits must be positive")
         if self.outer_tol <= 0 or self.cg_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

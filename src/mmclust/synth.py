@@ -73,6 +73,8 @@ class SynthSpec:
             raise ValueError("separation must be finite and non-negative")
         if not 0 <= self.noise_views <= self.n_views:
             raise ValueError("noise_views must be between 0 and n_views")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _separated_centers(rng, k, dim, separation):

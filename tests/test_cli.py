@@ -1,8 +1,13 @@
 """Command-line interface: end-to-end runs, defaults, and failure modes."""
 
+import argparse
 import ctypes
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +21,8 @@ from mmclust.solver import (
     CGStats, ClusterIndicator, CPWeights, FitConfig, IterationRecord, extract_labels, fit,
     nearest_orthonormal, predict_scores,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # every key of a fit or baseline report; the N x K indicator is not one of them
 REPORT_KEYS = {
@@ -279,12 +286,24 @@ class TestFitAndEval:
         a, b = (strip_timing(json.loads(p.read_text())) for p in paths)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    @pytest.mark.parametrize("command", ["fit", "baseline", "sweep"])
+    @pytest.mark.parametrize("command", ["fit", "baseline"])
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_k_below_one_is_diagnosed(self, tmp_path, capsys, command, k):
         # rejected before the manifest is read, in the same words everywhere
         code, out, err = run(capsys, command, str(tmp_path / "absent.json"), "--k", k)
         assert (code, out, err) == (1, "", f"error: --k must be at least 1, got {k}\n")
+
+    @pytest.mark.parametrize("command", ["gen", "fit", "baseline"])
+    def test_negative_seed_is_diagnosed(self, small_dataset, tmp_path, capsys, command):
+        # named by the setting, not by numpy's "expected non-negative integer"
+        out = tmp_path / "d"
+        if command == "gen":
+            argv = ["gen", "--n", "10", "--k", "2", "--views", "1", "--dims", "3", "--out", str(out)]
+        else:
+            argv = [command, str(small_dataset / "manifest.json"), "--k", "3", "--out", str(out)]
+        code, stdout, err = run(capsys, *argv, "--seed", "-1")
+        assert (code, stdout, err) == (1, "", "error: seed must be non-negative\n")
+        assert not out.exists()
 
     def test_k_larger_than_n_is_diagnosed(self, small_dataset, capsys):
         code, _, err = run(
@@ -336,8 +355,7 @@ class TestFitAndEval:
         assert raw_out == dense_out
 
     def test_manifest_with_raw_class_ids(self, small_dataset, capsys):
-        # fit and baseline never read labels, and sweep scores the IDs that
-        # occur, so raw IDs change no command's output
+        # fit and baseline only check a manifest's labels, so raw IDs pass
         labels = np.loadtxt(small_dataset / "labels.csv", dtype=np.int64)
         (small_dataset / "raw.csv").write_text("".join(f"{[7, 999, 5000][y]}\n" for y in labels))
         manifest = json.loads((small_dataset / "manifest.json").read_text())
@@ -346,12 +364,6 @@ class TestFitAndEval:
         for argv in (("fit", "--max-iters", "3"), ("baseline",)):
             code, _, err = run(capsys, argv[0], str(raw_manifest), "--k", "3", *argv[1:])
             assert code == 0, err
-        sweep = ("--k", "3", "--ranks", "4,6", "--max-iters", "3")
-        code, raw_out, err = run(capsys, "sweep", str(raw_manifest), *sweep)
-        assert code == 0, err
-        code, dense_out, _ = run(capsys, "sweep", str(small_dataset / "manifest.json"), *sweep)
-        assert code == 0
-        assert "ACC" in raw_out and raw_out == dense_out
 
     def test_eval_rejects_fractional_report_labels(self, tmp_path, capsys):
         # casting to int would truncate these to 0 1 1 0 and score ACC 1
@@ -488,7 +500,6 @@ class TestBaseline:
             ("--cg-max-iters", "5"), ("--irls-epsilon", "1e-12"), ("--init-scale", "0.1"),
         ]),
         ("fit", "--irls-epsilon", "1e-12"), ("fit", "--init-scale", "0.1"),
-        ("sweep", "--irls-epsilon", "1e-12"), ("sweep", "--init-scale", "0.1"),
     ])
     def test_baseline_rejects_solver_controls(self, small_dataset, capsys, command, flag, value):
         # the baseline has no loop and no CG, so it takes no solver controls;
@@ -569,50 +580,6 @@ class TestReportFile:
         assert extract_labels(ClusterIndicator(rebuilt), seed=seed).tolist() == saved["labels"]
 
 
-class TestSweep:
-    @pytest.mark.parametrize("ranks", ["3,,5", "3,5,"])
-    def test_stray_comma_in_ranks_is_an_error(self, small_dataset, capsys, ranks):
-        code, stdout, err = run(
-            capsys,
-            "sweep", str(small_dataset / "manifest.json"),
-            "--k", "3", "--ranks", ranks, "--max-iters", "2",
-        )
-        assert (code, stdout) == (1, "")
-        assert err == f"error: expected a comma-separated integer list, got '{ranks}'\n"
-
-    def test_sweep_defaults_to_standard_grid(self, small_dataset, capsys):
-        code, stdout, err = run(
-            capsys,
-            "sweep", str(small_dataset / "manifest.json"),
-            "--k", "3", "--max-iters", "3", "--gamma", "0.001",
-        )
-        assert code == 0, err
-        for rank in (10, 20, 30, 40, 50):
-            assert f"rank {rank}:" in stdout
-        assert "best rank" in stdout
-
-    def test_sweep_custom_grid_and_best_report(self, small_dataset, tmp_path, capsys):
-        best = tmp_path / "best.json"
-        code, stdout, _ = run(
-            capsys,
-            "sweep", str(small_dataset / "manifest.json"),
-            "--k", "3", "--ranks", "4,6", "--max-iters", "20",
-            "--gamma", "0.001", "--out", str(best),
-        )
-        assert code == 0
-        report = json.loads(best.read_text())
-        assert report["config"]["rank"] in (4, 6)
-
-    def test_sweep_without_labels_is_diagnosed(self, tmp_path, capsys):
-        view = tmp_path / "v.csv"
-        view.write_text("1,2,3\n")
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({"views": ["v.csv"]}))
-        code, _, err = run(capsys, "sweep", str(manifest), "--k", "2")
-        assert code == 1
-        assert "labels" in err
-
-
 class TestArgumentErrors:
     def test_unknown_flag_exits_nonzero(self, capsys):
         code = cli_main(["fit", "x.json", "--k", "2", "--bogus"])
@@ -620,14 +587,68 @@ class TestArgumentErrors:
         assert code == 2
 
     def test_unknown_command_exits_nonzero(self, capsys):
-        code = cli_main(["frobnicate"])
-        capsys.readouterr()
-        assert code == 2
+        # ``sweep`` picked a rank by NMI against ground truth and is retired
+        for command in ("frobnicate", "sweep"):
+            code = cli_main([command, "data/manifest.json", "--k", "3"])
+            _, err = capsys.readouterr()
+            assert code == 2
+            assert f"invalid choice: '{command}'" in err
 
     def test_no_command_exits_nonzero(self, capsys):
         code = cli_main([])
         capsys.readouterr()
         assert code == 2
+
+
+def run_with_log_level(level, *argv):
+    """Run the CLI in a fresh interpreter, where ``logging.basicConfig`` still
+    installs its handler, with ``MMCLUST_LOG`` set to ``level``."""
+    env = {**os.environ, "MMCLUST_LOG": level}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mmclust.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestLogLevel:
+    def test_debug_logs_every_iteration(self, small_dataset):
+        proc = run_with_log_level(
+            "debug", "fit", str(small_dataset / "manifest.json"), "--k", "3", "--rank", "4",
+            "--max-iters", "3",
+        )
+        assert proc.returncode == 0, proc.stderr
+        n_iterations = int(re.search(r"iterations=(\d+)", proc.stdout).group(1))
+        line = re.compile(
+            r"DEBUG mmclust\.solver: iteration (\d+): objective=\S+ fit=\S+ reg=\S+ "
+            r"cg_steps=\d+ cg_worst_residual=\S+"
+        )
+        seen = [int(m.group(1)) for m in map(line.fullmatch, proc.stderr.splitlines()) if m]
+        assert seen == list(range(1, n_iterations + 1))
+
+    @pytest.mark.parametrize("level", ["verbose", "notset"])
+    def test_unknown_level_warns_and_reads_as_warning(self, small_dataset, level):
+        # "verbose" used to be read silently as warning, and "notset" as level 0
+        proc = run_with_log_level(
+            level, "fit", str(small_dataset / "manifest.json"), "--k", "3", "--max-iters", "2",
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            f"warning: MMCLUST_LOG='{level}' is not one of debug, info, warning, error, "
+            "critical; using warning\n"
+        )
+
+
+class TestReadme:
+    def test_usage_block_names_every_command(self):
+        # a retired or added command cannot leave the README's usage block stale
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        documented = {line.split()[1] for line in readme.splitlines() if line.startswith("mmclust ")}
+        (commands,) = [
+            a.choices for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert documented == set(commands)
 
 
 class TestOracleCheckCommand:

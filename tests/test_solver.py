@@ -315,6 +315,11 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
 
+    def test_negative_seed_is_named(self):
+        # numpy's own message for a negative seed names no setting
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            FitConfig(seed=-1)
+
 
 class TestApplyH:
     def test_collapses_to_identity(self):

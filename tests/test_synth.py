@@ -33,6 +33,10 @@ class TestSynthSpec:
         with pytest.raises(ValueError, match="separation must be finite and non-negative"):
             SynthSpec(n_instances=10, n_views=1, n_clusters=2, dims=(3,), separation=separation)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            SynthSpec(n_instances=10, n_views=1, n_clusters=2, dims=(3,), seed=-1)
+
 
 class TestGenerate:
     def test_deterministic_from_seed(self):
