@@ -374,19 +374,28 @@ def _write_dataset(dataset: MultiViewDataset, out_dir: Path) -> None:
     )
 
 
+def _scale_views_into(views, blocks) -> None:
+    """Write each of ``views`` divided by its Frobenius norm into the block of
+    the same index and shape that the caller provides, such as a row block of
+    a larger working buffer.  The block first holds the squared entries that
+    the norm is summed from, so no scratch array of a view's size is made.
+    An all-zero view cannot be scaled and is rejected."""
+    for i, (v, out) in enumerate(zip(views, blocks)):
+        total = float(np.multiply(v, v, out=out).sum())
+        if total == 0.0:
+            raise DataError(f"degenerate view {i}: all entries are zero")
+        np.divide(v, np.sqrt(total), out=out)
+
+
 def normalize_views(dataset: MultiViewDataset) -> MultiViewDataset:
     """Scale each view by one scalar so its squared entries sum to one.
 
     Relative proportions within a view are preserved; labels carry over
     unchanged.  An all-zero view cannot be normalized and is rejected.
     """
-    scaled = []
-    for i, v in enumerate(dataset.views):
-        total = float(np.sum(v * v))
-        if total == 0.0:
-            raise DataError(f"degenerate view {i}: all entries are zero")
-        scaled.append(v / np.sqrt(total))
-    return MultiViewDataset(tuple(scaled), labels=dataset.labels)
+    scaled = tuple(np.empty_like(v) for v in dataset.views)
+    _scale_views_into(dataset.views, scaled)
+    return MultiViewDataset(scaled, labels=dataset.labels)
 
 
 def augment(dataset: MultiViewDataset) -> AugmentedViews:

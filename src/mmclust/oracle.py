@@ -373,6 +373,8 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     The fast paths are looked up on their modules at call time, so a patched
     ``solver`` or ``metrics`` function is the one checked.
     """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     results = []
 
     def record(name, ok, detail):

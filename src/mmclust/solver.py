@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import AugmentedViews, MultiViewDataset, augment, normalize_views
+from .data import AugmentedViews, MultiViewDataset, _scale_views_into
 
 logger = logging.getLogger(__name__)
 
@@ -662,19 +662,32 @@ def update_indicator(scores: np.ndarray) -> ClusterIndicator:
 def _plus_plus_centers(points, points_t, k, rng):
     """k-means++ seeding: the first center uniform, each next one drawn with
     probability proportional to its squared distance to the nearest center
-    so far.  Each distance is a column sum over the D x N copy ``points_t``."""
+    so far.  Each distance is a column sum over the D x N copy ``points_t``.
+
+    A draw inverts the normalized cumulative distribution at one uniform
+    variate, the computation and the random draw of ``rng.choice(n, p=...)``
+    without its validation of ``p`` on every draw."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
+    squares = np.empty_like(points_t)
+    new_d2 = np.empty(n)
+
+    def squared_distances(center, out):
+        np.subtract(points_t, center[:, None], out=squares)
+        return np.square(squares, out=squares).sum(axis=0, out=out)
+
     centers[0] = points[int(rng.integers(n))]
-    d2 = ((points_t - centers[0][:, None]) ** 2).sum(axis=0)
+    d2 = squared_distances(centers[0], np.empty(n))
     for j in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = points[idx]
-        np.minimum(d2, ((points_t - centers[j][:, None]) ** 2).sum(axis=0), out=d2)
+        np.minimum(d2, squared_distances(centers[j], new_d2), out=d2)
     return centers
 
 
@@ -819,7 +832,14 @@ def fit(dataset: MultiViewDataset, n_clusters: int, config: FitConfig) -> FitRep
         (K-means on the indicator rows), and the convergence flag.
     """
     t_start = time.perf_counter()
-    z = augment(normalize_views(dataset))
+    # each view is scaled straight into its augmented buffer, so the fit holds
+    # one working copy of the data beside the caller's views
+    n = dataset.n_instances
+    z_views = tuple(np.empty((d + 1, n)) for d in dataset.dims)
+    _scale_views_into(dataset.views, [zv[:-1] for zv in z_views])
+    for zv in z_views:
+        zv[-1] = 1.0
+    z = AugmentedViews(z_views)
     weights, indicator = init_model(z, config, n_clusters)
     factors, cluster = list(weights.view_factors), weights.cluster_factor
     projections = project(z, weights)

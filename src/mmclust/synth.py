@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultiViewDataset, normalize_views
+from .data import MultiViewDataset, _scale_views_into
 from .solver import (
     ClusterIndicator,
     CPWeights,
@@ -196,19 +196,25 @@ def baseline_regression_cluster(
     rank of X, the columns past that rank.
     """
     t_start = time.perf_counter()
-    normalized = normalize_views(dataset)
-    n = normalized.n_instances
+    # the normalized views are scaled straight into the row blocks of one
+    # design, above its all-ones row: the baseline's one working copy
+    n = dataset.n_instances
+    stacked = np.empty((sum(dataset.dims) + 1, n))
+    _scale_views_into(dataset.views, np.split(stacked, np.cumsum(dataset.dims))[:-1])
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in [1, {n}], got {n_clusters}")
-    stacked = np.vstack([*normalized.views, np.ones((1, n))])
+    stacked[-1] = 1.0
     design = stacked.T
     t_solve = time.perf_counter()
     ridge = stacked @ stacked.T + config.gamma * np.eye(stacked.shape[0])
     start, w = _closed_form(design, ridge, config.gamma, n_clusters, config.seed)
     indicator = ClusterIndicator(start)
-    scores = design @ w
-    fit_term = float(np.sum((scores - indicator.matrix) ** 2))
+    residual = design @ w
+    residual -= indicator.matrix
+    fit_term = float(np.sum(np.square(residual, out=residual)))
     reg_term = config.gamma * float(np.sum(w * w))
+    # K-means rounding needs only the indicator
+    del stacked, design, residual
     record = IterationRecord(
         iteration=1,
         objective=fit_term + reg_term,

@@ -293,16 +293,29 @@ class TestFitAndEval:
         code, out, err = run(capsys, command, str(tmp_path / "absent.json"), "--k", k)
         assert (code, out, err) == (1, "", f"error: --k must be at least 1, got {k}\n")
 
-    @pytest.mark.parametrize("command", ["gen", "fit", "baseline"])
+    @pytest.mark.parametrize("command", ["gen", "fit", "baseline", "oracle-check"])
     def test_negative_seed_is_diagnosed(self, small_dataset, tmp_path, capsys, command):
         # named by the setting, not by numpy's "expected non-negative integer"
         out = tmp_path / "d"
         if command == "gen":
             argv = ["gen", "--n", "10", "--k", "2", "--views", "1", "--dims", "3", "--out", str(out)]
+        elif command == "oracle-check":
+            argv = ["oracle-check"]
         else:
             argv = [command, str(small_dataset / "manifest.json"), "--k", "3", "--out", str(out)]
         code, stdout, err = run(capsys, *argv, "--seed", "-1")
         assert (code, stdout, err) == (1, "", "error: seed must be non-negative\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "baseline"])
+    def test_all_zero_view_is_diagnosed(self, small_dataset, tmp_path, capsys, command):
+        # 5 features of the 60 instances that small_dataset draws, all zero
+        (small_dataset / "view1.csv").write_text(("0," * 59 + "0\n") * 5, encoding="utf-8")
+        out = tmp_path / "report.json"
+        code, stdout, err = run(
+            capsys, command, str(small_dataset / "manifest.json"), "--k", "3", "--out", str(out)
+        )
+        assert (code, stdout, err) == (1, "", "error: degenerate view 0: all entries are zero\n")
         assert not out.exists()
 
     def test_k_larger_than_n_is_diagnosed(self, small_dataset, capsys):

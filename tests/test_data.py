@@ -10,6 +10,7 @@ from mmclust.data import (
     AugmentedViews,
     DataError,
     MultiViewDataset,
+    _scale_views_into,
     _write_dataset,
     augment,
     load_dataset,
@@ -330,6 +331,42 @@ class TestNormalizeViews:
         ds = MultiViewDataset((np.ones((2, 2)),), labels=np.array([0, 1]))
         out = normalize_views(ds)
         np.testing.assert_array_equal(out.labels, [0, 1])
+
+
+class TestScaleViewsInto:
+    """The in-place scaling that ``fit`` and the baseline run into their
+    working buffers, bit for bit against normalizing and stacking apart."""
+
+    def _dataset(self):
+        rng = np.random.default_rng(21)
+        # views long enough for numpy's blocked pairwise summation
+        return MultiViewDataset((
+            1e3 * rng.standard_normal((7, 301)),
+            rng.standard_normal((1, 301)),
+            1e-4 * rng.standard_normal((30, 301)),
+        ))
+
+    def test_same_bytes_as_scaling_by_the_summed_squares(self):
+        ds = self._dataset()
+        for v, out in zip(ds.views, normalize_views(ds).views):
+            assert out.tobytes() == (v / np.sqrt(float(np.sum(v * v)))).tobytes()
+
+    def test_augmented_buffers_match_augment(self):
+        ds = self._dataset()
+        buffers = [np.empty((d + 1, ds.n_instances)) for d in ds.dims]
+        _scale_views_into(ds.views, [b[:-1] for b in buffers])
+        for b, z in zip(buffers, augment(normalize_views(ds)).z_views):
+            b[-1] = 1.0
+            assert b.tobytes() == z.tobytes()
+
+    def test_design_blocks_match_the_stacked_views(self):
+        ds = self._dataset()
+        n = ds.n_instances
+        design = np.empty((sum(ds.dims) + 1, n))
+        _scale_views_into(ds.views, np.split(design, np.cumsum(ds.dims))[:-1])
+        design[-1] = 1.0
+        stacked = np.vstack([*normalize_views(ds).views, np.ones((1, n))])
+        assert design.tobytes() == stacked.tobytes()
 
 
 class TestAugment:

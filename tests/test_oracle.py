@@ -1,11 +1,6 @@
 """The brute-force reference paths checked scalar-by-scalar, and the check
 runner that compares them with the fast paths."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -178,8 +173,6 @@ class TestDenseSystemMatrix:
             dense_H(np.ones((3, 2)), np.ones((4, 2)), np.eye(2), np.ones(3), 1.0)
 
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
 # the checks' own allocations, measured from a fresh interpreter: a warm one
 # has already paid for numpy's first calls and reads about 2 MiB lower
 PEAK_SCRIPT = """
@@ -270,17 +263,10 @@ class TestRunChecks:
             "lean-cg-vs-reference", "fit-sweep-vs-reference",
         ]
 
-    def test_peak_memory_in_a_fresh_process(self):
+    def test_peak_memory_in_a_fresh_process(self, fresh_interpreter):
         # oracle-check runs inside the benchmark process, and its peak there
         # has set peak_rss_mb; the checks' own peak read 6.3 MiB at this bound
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_SCRIPT],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-        assert int(proc.stdout.split()[-1]) <= 8 * 2**20
+        assert fresh_interpreter(PEAK_SCRIPT)[-1] <= 8 * 2**20
 
     def test_failed_check_fails_the_command(self, broken_operator, capsys):
         assert cli_main(["oracle-check"]) == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mmclust import solver
-from mmclust.data import MultiViewDataset, augment, normalize_views
+from mmclust.data import DataError, MultiViewDataset, augment, normalize_views
 from mmclust.oracle import (
     broadcast_lloyd_kmeans,
     dense_H,
@@ -812,6 +812,15 @@ class TestFit:
     def _dataset(self, seed, n=40, dims=(5, 4), k=3):
         rng = np.random.default_rng(seed)
         return MultiViewDataset(tuple(rng.standard_normal((d, n)) for d in dims))
+
+    @pytest.mark.parametrize("zero_view", [0, 1])
+    def test_all_zero_view_is_rejected_before_other_checks(self, zero_view):
+        # 41 clusters on 40 instances would be rejected next
+        views = list(self._dataset(0).views)
+        views[zero_view] = np.zeros_like(views[zero_view])
+        message = f"^degenerate view {zero_view}: all entries are zero$"
+        with pytest.raises(DataError, match=message):
+            fit(MultiViewDataset(tuple(views)), 41, FitConfig(rank=3))
 
     def test_single_iteration_single_record(self):
         ds = self._dataset(0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmclust.metrics import Partition, accuracy
-from mmclust.data import normalize_views
+from mmclust.data import DataError, MultiViewDataset, normalize_views
 from mmclust.solver import FitConfig, lloyd_kmeans
 from mmclust.synth import (
     SynthSpec,
@@ -176,6 +176,15 @@ class TestBaselineRegressionCluster:
                 separation=8.0, seed=seed,
             )
         )
+
+    @pytest.mark.parametrize("zero_view", [0, 1])
+    def test_all_zero_view_is_rejected_before_other_checks(self, zero_view):
+        # zero clusters would be rejected next
+        views = list(self._separated().views)
+        views[zero_view] = np.zeros_like(views[zero_view])
+        message = f"^degenerate view {zero_view}: all entries are zero$"
+        with pytest.raises(DataError, match=message):
+            baseline_regression_cluster(MultiViewDataset(tuple(views)), 0, FitConfig(rank=3))
 
     def test_single_iteration_single_record(self):
         ds = self._separated()
